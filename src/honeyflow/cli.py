@@ -45,7 +45,7 @@ from .detection import (
     write_attack_report,
 )
 from .evasion import BUILTIN_PROFILES, evasion_rows, write_evasion_csv
-from .events import load_baseline, load_profiles, load_scanner_list, load_trace
+from .events import load_baseline, load_profiles, load_scanner_list, load_trace, open_artifact
 from .flows import assemble
 from .sweep import sweep, write_heatmap_csv
 from .synth import spec_from_dict, spec_to_dict, synth, write_corpus
@@ -103,7 +103,7 @@ def _write_manifest(out: str, subcommand: str, config: dict, outputs: list[str])
         "outputs": sorted(outputs),
     }
     path = os.path.join(out, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_artifact(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -218,7 +218,7 @@ def _cmd_detect(parser: _Parser, args) -> int:
             window_s=thresholds.idle_timeout,
         )
     write_attack_report(attacks, name, os.path.join(out, "attacks.jsonl"))
-    with open(os.path.join(out, "victims.csv"), "w", encoding="utf-8", newline="\n") as handle:
+    with open_artifact(os.path.join(out, "victims.csv")) as handle:
         handle.write("victim,granularity\n")
         for victim in sorted(victims(attacks), key=lambda v: v.sort_key()):
             handle.write(f"{victim.identity},{victim.granularity}\n")

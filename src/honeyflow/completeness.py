@@ -30,7 +30,7 @@ from .detection import (
     detect,
     victims,
 )
-from .events import BaselineAttack, PacketEvent, ScannerList, ipv4_to_int, prefix_net_mask
+from .events import BaselineAttack, PacketEvent, ScannerList, ipv4_to_int, open_artifact, prefix_net_mask
 from .flows import FlowScheme, assemble
 
 __all__ = [
@@ -326,12 +326,12 @@ def report_to_dict(report: OverlapReport) -> dict:
 
 
 def write_overlap_json(report: OverlapReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_artifact(path) as handle:
         handle.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
 
 
 def write_venn_csv(report: OverlapReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["set", "count"])
         writer.writerow(["honeypot_only", report.venn.honeypot_only])
@@ -406,7 +406,7 @@ def classify_sources(
 
 
 def write_source_classes_csv(classification: SourceClassification, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["source", "class", "packets", "attack_events"])
         for source in sorted(classification.classes, key=ipv4_to_int):
@@ -421,7 +421,7 @@ def write_source_classes_csv(classification: SourceClassification, path: str) ->
 
 
 def write_class_shares_csv(classification: SourceClassification, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["class", "count", "share"])
         for name in (CLASS_ATTACK, CLASS_SCAN_ONLY, CLASS_UNSEEN):

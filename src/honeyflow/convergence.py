@@ -24,6 +24,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .events import open_artifact
+
 __all__ = [
     "GREEDY_MAX_COVERAGE",
     "GREEDY_STATIC_SORT",
@@ -311,7 +313,7 @@ def capture_recapture(sample_a: Iterable[Hashable], sample_b: Iterable[Hashable]
 # -- CSV artifacts ----------------------------------------------------------
 
 def write_greedy_csv(curve: ConvergenceCurve, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rank", "sensor", "new_victims", "cumulative", "share"])
         for rank, sensor in enumerate(curve.sensors, 1):
@@ -327,7 +329,7 @@ def write_greedy_csv(curve: ConvergenceCurve, path: str) -> None:
 
 
 def write_rank_statistics_csv(stats: RankStatistics, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rank", "min", "q1", "median", "q3", "max"])
         for rank in range(1, stats.n_ranks + 1):
@@ -345,7 +347,7 @@ def write_rank_statistics_csv(stats: RankStatistics, path: str) -> None:
 
 
 def write_stability_csv(points: Sequence[StabilityPoint], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n_permutations", "dmin", "dmedian", "dmax"])
         for point in points:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .events import PacketEvent, int_to_ipv4, ipv4_to_int
+from .events import PacketEvent, int_to_ipv4, ipv4_to_int, open_artifact
 from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowKey, FlowScheme, assemble
 
 __all__ = [
@@ -368,7 +368,7 @@ def detect_carpet_bombing(
 
 def write_attack_report(attacks: Iterable[AttackEvent], preset_name: str, path: str) -> None:
     """JSONL report, one attack event per line, set fields as sorted lists."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_artifact(path) as handle:
         for event in attacks:
             handle.write(
                 json.dumps(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .detection import PRESETS, DetectionPreset
-from .events import ProtocolProfile
+from .events import ProtocolProfile, open_artifact
 
 __all__ = [
     "BUILTIN_PROFILES",
@@ -204,7 +204,7 @@ def _number(value: float) -> str:
 
 
 def write_evasion_csv(rows: Sequence[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             [

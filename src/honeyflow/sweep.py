@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .detection import AttackThresholds, detect, victims
-from .events import PacketEvent
+from .events import PacketEvent, open_artifact
 from .flows import FlowScheme, assemble
 
 __all__ = ["HeatmapGrid", "sweep", "write_heatmap_csv"]
@@ -90,7 +90,7 @@ def _axis_value(value: float) -> str:
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str) -> None:
     """Long-form CSV, rows ordered by (timeout, load)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["timeout_s", "min_packets", "attack_flows", "victims"])
         for i, timeout in enumerate(grid.timeouts):

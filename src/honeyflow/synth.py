@@ -30,6 +30,7 @@ from .events import (
     int_to_ipv4,
     ipv4_to_int,
     normalize_prefix,
+    open_artifact,
     prefix_net_mask,
     trace_sort_key,
     write_baseline,
@@ -430,7 +431,7 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
     write_trace(corpus.events, os.path.join(out_dir, "events.jsonl"))
     written.append("events.jsonl")
 
-    with open(os.path.join(out_dir, "labels.csv"), "w", encoding="utf-8", newline="\n") as handle:
+    with open_artifact(os.path.join(out_dir, "labels.csv")) as handle:
         handle.write("event_index,label\n")
         for index, label in enumerate(corpus.labels):
             handle.write(f"{index},{label}\n")
@@ -460,7 +461,7 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
         "baseline_matched": corpus.baseline_matched,
         "expected_overlap": corpus.expected_overlap,
     }
-    with open(os.path.join(out_dir, "truth.json"), "w", encoding="utf-8", newline="\n") as handle:
+    with open_artifact(os.path.join(out_dir, "truth.json")) as handle:
         handle.write(json.dumps(truth, indent=2, sort_keys=True) + "\n")
     written.append("truth.json")
     return written

@@ -1,16 +1,21 @@
-"""Shared test fixtures: random traces and an independent flow-partition oracle.
+"""Shared test fixtures: random traces and independent oracles.
 
-The oracle deliberately reimplements flow semantics from scratch (ipaddress
-for prefix truncation, plain dict-of-lists grouping, explicit gap scan) so
-the engine and the oracle can only agree by both being right.
+The flow-partition oracle deliberately reimplements flow semantics from
+scratch (ipaddress for prefix truncation, plain dict-of-lists grouping,
+explicit gap scan) so the engine and the oracle can only agree by both
+being right. The ingest oracle is the plain line-by-line parser and sort
+that :func:`honeyflow.load_trace` must stay equal to.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import json
+import math
 import random
 
-from honeyflow import PacketEvent
+from honeyflow import FormatError, PacketEvent
+from honeyflow.events import ipv4_to_int
 from honeyflow.flows import PER_SENSOR, FlowScheme
 
 TEST_PORTS = (53, 123, 389)
@@ -52,6 +57,59 @@ def make_random_trace(
     ]
     events.sort(key=lambda e: (e.ts, e.sensor, e.src_ip, e.src_port, e.dst_port))
     return events
+
+
+# -- ingest oracle -------------------------------------------------------------
+#
+# Each line is checked field by field (every address twice: here and again
+# in PacketEvent.__post_init__), then the whole list is sorted by a plain
+# tuple key.
+
+_ORACLE_EVENT_KEYS = ("ts", "sensor", "src_ip", "src_port", "dst_ip", "dst_port")
+
+
+def oracle_parse_event_line(line: str, line_no: int) -> PacketEvent:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {line_no}: malformed event record: {exc.msg}") from exc
+    if not isinstance(record, dict):
+        raise FormatError(f"line {line_no}: event record must be a JSON object")
+    for key in _ORACLE_EVENT_KEYS:
+        if key not in record:
+            raise FormatError(f"line {line_no}: missing key '{key}'")
+    for key in record:
+        if key not in _ORACLE_EVENT_KEYS:
+            raise FormatError(f"line {line_no}: unexpected key '{key}'")
+    ts = record["ts"]
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not math.isfinite(ts) or ts < 0:
+        raise FormatError(f"line {line_no}: ts must be a finite non-negative number")
+    sensor = record["sensor"]
+    if not isinstance(sensor, str) or not sensor:
+        raise FormatError(f"line {line_no}: sensor must be a non-empty string")
+    for name in ("src_port", "dst_port"):
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FormatError(f"line {line_no}: {name} must be an integer")
+        if not 0 <= value <= 65535:
+            raise FormatError(f"line {line_no}: {name} out of range: {value}")
+    for name in ("src_ip", "dst_ip"):
+        try:
+            ipv4_to_int(record[name])
+        except ValueError as exc:
+            raise FormatError(f"line {line_no}: {name}: {exc}") from exc
+    return PacketEvent(float(ts), sensor, record["src_ip"], record["src_port"],
+                       record["dst_ip"], record["dst_port"])
+
+
+def oracle_load_trace(path: str) -> list[PacketEvent]:
+    with open(path, encoding="utf-8") as handle:
+        events = [
+            oracle_parse_event_line(raw.strip(), line_no)
+            for line_no, raw in enumerate(handle, 1)
+            if raw.strip()
+        ]
+    return sorted(events, key=lambda e: (e.ts, e.sensor, e.src_ip, e.src_port, e.dst_port))
 
 
 # distinct flow identifiers across all bundled presets, plus one exercising

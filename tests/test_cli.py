@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -198,6 +199,27 @@ def test_reruns_are_byte_identical(tmp_path, corpus_dir):
     assert str(outs[0]) not in (outs[0] / "manifest.json").read_text()
 
 
+def test_rerun_into_a_used_out_replaces_every_artifact(tmp_path, corpus_dir):
+    argv = ("detect", "--events", str(corpus_dir / "events.jsonl"), "--preset", "ccc", "--carpet")
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert run_cli(*argv, "--out", str(fresh)) == 0
+
+    reused.mkdir()
+    stale = b'{"victim": "stale"}\n' * 5000  # longer than the real report
+    (reused / "attacks.jsonl").write_bytes(stale)
+    os.link(reused / "attacks.jsonl", tmp_path / "hard-link.jsonl")
+    (tmp_path / "elsewhere.csv").write_text("untouched\n")
+    os.symlink(tmp_path / "elsewhere.csv", reused / "victims.csv")
+    for _ in range(2):
+        assert run_cli(*argv, "--out", str(reused)) == 0
+        for name in ("attacks.jsonl", "victims.csv", "manifest.json"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    # artifacts are unlinked and re-created, never written through a link
+    assert (tmp_path / "hard-link.jsonl").read_bytes() == stale
+    assert not (reused / "victims.csv").is_symlink()
+    assert (tmp_path / "elsewhere.csv").read_text() == "untouched\n"
+
+
 def test_out_env_fallback(tmp_path, corpus_dir, monkeypatch):
     monkeypatch.setenv(OUT_ENV, str(tmp_path))
     assert run_cli("evade") == 0
@@ -232,6 +254,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_text("{not json\n")
     assert run_cli("detect", "--events", str(bad),
                    "--preset", "ccc", "--out", str(tmp_path)) == 2
+
+    huge_ts = tmp_path / "huge.jsonl"  # an integer timestamp beyond the float range
+    huge_ts.write_text('{"ts": 1%s, "sensor": "s1", "src_ip": "198.51.100.7", "src_port": 1,'
+                       ' "dst_ip": "192.0.2.1", "dst_port": 123}\n' % ("0" * 400))
+    assert run_cli("detect", "--events", str(huge_ts),
+                   "--preset", "ccc", "--out", str(tmp_path)) == 2
+    assert "line 1: ts must be a finite non-negative number" in capsys.readouterr().err
 
     contradictory = tmp_path / "spec.json"
     contradictory.write_text(json.dumps({

@@ -1,8 +1,13 @@
 import ipaddress
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from helpers import oracle_load_trace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeyflow.events import (
     BaselineAttack,
@@ -144,6 +149,38 @@ def test_load_trace_sorts_and_reports_line_numbers(tmp_path):
         load_trace(str(path))
 
 
+def test_huge_integer_timestamps_are_format_errors(tmp_path):
+    huge = 10**400  # beyond the float range: float(huge) overflows
+    with pytest.raises(ValueError, match="ts must be finite and non-negative"):
+        sample_event(ts=huge)
+    line = serialize_event(sample_event()).replace('"ts":100.5', f'"ts":{huge}')
+    with pytest.raises(FormatError, match="^line 4: ts must be a finite non-negative number$"):
+        parse_event_line(line, 4)
+    path = tmp_path / "events.jsonl"
+    path.write_text(serialize_event(sample_event()) + "\n" + line + "\n")
+    with pytest.raises(FormatError, match="^line 2: ts must be a finite non-negative number$"):
+        load_trace(str(path))
+
+    for name in ("start_ts", "end_ts"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            BaselineAttack(**{"start_ts": 0, "end_ts": 0, name: huge}, prefixes=frozenset({"1.2.3.0/24"}))
+        record = {"start_ts": 1, "end_ts": 2, "protocols": [], "prefixes": ["1.2.3.0/24"], name: huge}
+        with pytest.raises(FormatError, match=f"^line 5: {name} must be a finite number$"):
+            parse_baseline_line(json.dumps(record), 5)
+
+
+def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
+    path = tmp_path / "events.jsonl"
+    write_trace([sample_event(ts=1.0), sample_event(ts=2.0), sample_event(ts=3.0)], str(path))
+    calls = []
+    monkeypatch.setattr("honeyflow.events.ipv4_to_int", lambda addr: calls.append(addr) or 0)
+    monkeypatch.setattr(PacketEvent, "__post_init__", lambda self: calls.append(self))
+    first, second, third = load_trace(str(path))
+    assert calls == ["198.51.100.7", "203.0.113.1"]  # each distinct address once
+    assert first.src_ip is second.src_ip is third.src_ip
+    assert first.dst_ip is third.dst_ip and first.sensor is third.sensor
+
+
 def test_trace_sort_is_stable_for_dst_ip_ties(tmp_path):
     # dst_ip is not part of the canonical order; ties keep file order
     first = sample_event(dst_ip="203.0.113.9")
@@ -226,3 +263,92 @@ def test_profiles_round_trip_and_validation(tmp_path):
     path.write_text('{"name": "x", "dst_port": 1, "request_size": 1, "amplification_factor": 1}\n')
     with pytest.raises(FormatError, match="missing key 'amplifier_count'"):
         load_profiles(str(path))
+
+
+# -- load_trace against the line-by-line oracle ---------------------------------
+
+_SENSORS = ("s1", "s02", "a\u2028b")  # U+2028 is a line break to str.splitlines
+_ADDRESSES = ("10.0.0.1", "10.0.0.2", "192.0.2.1")
+_PORTS = (0, 53, 123, 40000, 65535)
+_GOOD = {
+    "ts": st.one_of(st.integers(0, 5), st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 5)),
+    "sensor": st.sampled_from(_SENSORS),
+    "src_ip": st.sampled_from(_ADDRESSES),
+    "src_port": st.sampled_from(_PORTS),
+    "dst_ip": st.sampled_from(_ADDRESSES),
+    "dst_port": st.sampled_from(_PORTS),
+}
+# wrong values for each field, one of every kind the format rejects
+_BAD = {
+    "ts": [-1, -0.5, "1", True, None, float("nan"), float("inf"), [1]],
+    "sensor": ["", 5, None, ["s1"], {"s": 1}],
+    "src_ip": ["bogus", "01.2.3.4", "1.2.3.256", "2001:db8::1", 7, None, ["10.0.0.1"]],
+    "src_port": [-1, 65536, 1.5, "53", False, [53]],
+    "dst_ip": ["1.2.3", "", 10, {"a": 1}],
+    "dst_port": [70000, 2.0, True, None],
+}
+_records = st.fixed_dictionaries(_GOOD)
+
+
+@st.composite
+def _bad_lines(draw):
+    kind = draw(st.sampled_from(["json", "keys", "fields", "fields", "fields"]))
+    if kind == "json":
+        return draw(st.sampled_from(["{", '{"ts": 1,', "[1, 2]", '"event"', "7", "null", "{}"]))
+    record = draw(_records)
+    if kind == "fields":
+        for key in draw(st.lists(st.sampled_from(list(_BAD)), min_size=1, max_size=3, unique=True)):
+            record[key] = draw(st.sampled_from(_BAD[key]))
+    else:
+        for key in draw(st.lists(st.sampled_from(list(_GOOD)), max_size=2, unique=True)):
+            del record[key]
+        if draw(st.booleans()):
+            record["extra"] = 1
+        if record.keys() == _GOOD.keys():
+            del record["dst_port"]
+    return json.dumps(record, ensure_ascii=False)
+
+
+_lines = st.one_of(
+    _records.map(lambda r: json.dumps(r, ensure_ascii=False)),
+    st.sampled_from(["", "  ", "\f", "\t \f"]),  # blank: whitespace only
+)
+
+
+def _outcome(load, path):
+    try:
+        return [(e.ts, type(e.ts), e.sensor, e.src_ip, e.src_port, e.dst_ip, e.dst_port) for e in load(path)]
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@pytest.mark.parametrize("key,value", [(key, value) for key in _BAD for value in _BAD[key]])
+def test_each_bad_field_fails_like_the_oracle(tmp_path, key, value):
+    record = {"ts": 1.0, "sensor": "s1", "src_ip": "10.0.0.1", "src_port": 53,
+              "dst_ip": "10.0.0.2", "dst_port": 123}
+    path = tmp_path / "events.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, key: value}) + "\n")
+    expected = _outcome(oracle_load_trace, str(path))
+    assert expected.startswith(f"FormatError: line 2: {key}")
+    assert _outcome(load_trace, str(path)) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lines=st.lists(_lines, max_size=30),
+    bad=st.lists(st.tuples(st.integers(0, 30), _bad_lines()), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+)
+def test_load_trace_equals_line_by_line_oracle(lines, bad, newline, final_newline):
+    for position, line in bad:
+        lines.insert(min(position, len(lines)), line)
+    text = newline.join(lines) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "events.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        expected = _outcome(oracle_load_trace, path)
+        assert _outcome(load_trace, path) == expected
+        if bad:
+            assert expected.startswith("FormatError: line ")
