@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .events import PacketEvent, int_to_ipv4, ipv4_to_int, open_artifact
@@ -105,13 +106,25 @@ class Victim:
         return (self.identity, self.granularity)
 
 
+@lru_cache(maxsize=4096)
 def _victim_of_key_src(src: str) -> Victim:
     if "/" in src:
         return Victim(src, GRANULARITY_PREFIX)
     return Victim(src, GRANULARITY_ADDRESS)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _shared_set(values: frozenset) -> frozenset:
+    """The first-seen set equal to ``values``.
+
+    Attack events of one trace repeat a handful of sensor and port sets, so
+    sharing them keeps a detector run that emits one event per flow from
+    holding thousands of equal frozensets.
+    """
+    return values
+
+
+@dataclass(frozen=True, slots=True)
 class AttackEvent:
     """One detected attack: the victim plus the flows that triggered it."""
 
@@ -139,8 +152,8 @@ class AttackEvent:
             first_ts=ordered[0].first_ts,
             last_ts=max(f.last_ts for f in ordered),
             total_packets=total,
-            sensors=frozenset(sensors),
-            dst_ports=frozenset(ports),
+            sensors=_shared_set(frozenset(sensors)),
+            dst_ports=_shared_set(frozenset(ports)),
         )
 
 
@@ -225,6 +238,34 @@ def _event_sort_key(event: AttackEvent) -> tuple:
     return (event.first_ts, event.victim.identity, event.flows[0].key.sort_key())
 
 
+def _check_port_condition(thresholds: AttackThresholds, dst_port_keyed: bool) -> None:
+    if thresholds.min_dst_ports > 1 and dst_port_keyed:
+        raise ConfigurationError(
+            f"min_dst_ports={thresholds.min_dst_ports} cannot be met by a dst-port-keyed "
+            "scheme: every flow sees exactly one destination port"
+        )
+
+
+def _window_cluster_starts(groups: Sequence, first_ts: Sequence[float], last_ts: Sequence[float]) -> list[int]:
+    """Where each overlap cluster begins among flows ordered by (group, first_ts, key).
+
+    A flow joins the open cluster of its group while it starts no later
+    than the cluster's window end, the earliest last_ts of its members, so
+    every member of a cluster overlaps every other. Any other flow opens a
+    new cluster. :func:`detect` and :func:`honeyflow.sweep.sweep` both
+    cluster with this rule.
+    """
+    starts: list[int] = []
+    group = window_end = None
+    for index, (flow_group, first, last) in enumerate(zip(groups, first_ts, last_ts)):
+        if flow_group != group or first > window_end:
+            starts.append(index)
+            group, window_end = flow_group, last
+        elif last < window_end:
+            window_end = last
+    return starts
+
+
 def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEvent]:
     """Apply thresholds to assembled flows and emit attack events.
 
@@ -247,11 +288,7 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
     if not flows:
         return []
     sample_key = flows[0].key
-    if thresholds.min_dst_ports > 1 and sample_key.dst_port is not None:
-        raise ConfigurationError(
-            f"min_dst_ports={thresholds.min_dst_ports} cannot be met by a dst-port-keyed "
-            "scheme: every flow sees exactly one destination port"
-        )
+    _check_port_condition(thresholds, sample_key.dst_port is not None)
 
     events: list[AttackEvent] = []
     if thresholds.min_sensors == 1 or sample_key.sensor is None:
@@ -268,26 +305,20 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
         for flow in flows:
             if thresholds.passes_load(flow.packet_count):
                 groups.setdefault(flow.key.without_sensor(), []).append(flow)
-        for group_key in sorted(groups, key=FlowKey.sort_key):
-            members = sorted(groups[group_key], key=lambda f: (f.first_ts, f.key.sort_key()))
-            cluster: list[Flow] = []
-            window_end = 0.0
-            for flow in members + [None]:  # sentinel flushes the last cluster
-                if cluster and (flow is None or flow.first_ts > window_end):
-                    distinct = {s for f in cluster for s in f.sensors}
-                    ports = {p for f in cluster for p in f.dst_ports}
-                    if len(distinct) >= thresholds.min_sensors and len(ports) >= thresholds.min_dst_ports:
-                        events.append(
-                            AttackEvent.from_flows(_victim_of_key_src(group_key.src), cluster)
-                        )
-                    cluster = []
-                if flow is None:
-                    break
-                if not cluster:
-                    window_end = flow.last_ts
-                else:
-                    window_end = min(window_end, flow.last_ts)
-                cluster.append(flow)
+        members: list[Flow] = []
+        labels: list[int] = []
+        for label, group_key in enumerate(sorted(groups, key=FlowKey.sort_key)):
+            members += sorted(groups[group_key], key=lambda f: (f.first_ts, f.key.sort_key()))
+            labels += [label] * len(groups[group_key])
+        starts = _window_cluster_starts(
+            labels, [f.first_ts for f in members], [f.last_ts for f in members]
+        )
+        for start, stop in zip(starts, starts[1:] + [len(members)]):
+            cluster = members[start:stop]
+            distinct = {s for f in cluster for s in f.sensors}
+            ports = {p for f in cluster for p in f.dst_ports}
+            if len(distinct) >= thresholds.min_sensors and len(ports) >= thresholds.min_dst_ports:
+                events.append(AttackEvent.from_flows(_victim_of_key_src(cluster[0].key.src), cluster))
 
     events.sort(key=_event_sort_key)
     return events

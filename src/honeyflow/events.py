@@ -195,6 +195,16 @@ _set_ts, _set_sensor, _set_src_ip, _set_src_port, _set_dst_ip, _set_dst_port = (
 )
 
 
+def _load_record(line: str, line_no: int, kind: str):
+    """``json.loads`` with every decoding failure as a FormatError naming the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {line_no}: malformed {kind} record: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal over the int/str conversion digit limit
+        raise FormatError(f"line {line_no}: malformed {kind} record: {exc}") from exc
+
+
 def _check_address(record: dict, name: str, line_no: int) -> str:
     addr = record[name]
     try:
@@ -242,10 +252,7 @@ def _parse_event(
     to its first occurrence: every distinct address is checked once, and
     equal strings share one object across the events built.
     """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {line_no}: malformed event record: {exc.msg}") from exc
+    record = _load_record(line, line_no, "event")
     if type(record) is not dict or record.keys() != _EVENT_KEY_SET:
         _diagnose_event(record, line_no)
     ts = record["ts"]
@@ -371,10 +378,7 @@ _BASELINE_KEYS = ("start_ts", "end_ts", "protocols", "prefixes")
 
 
 def parse_baseline_line(line: str, line_no: int = 0) -> BaselineAttack:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {line_no}: malformed baseline record: {exc.msg}") from exc
+    record = _load_record(line, line_no, "baseline")
     if not isinstance(record, dict):
         raise FormatError(f"line {line_no}: baseline record must be a JSON object")
     for key in _BASELINE_KEYS:
@@ -491,10 +495,7 @@ def load_profiles(path: str) -> list[ProtocolProfile]:
     """JSONL, keys exactly name/dst_port/request_size/amplification_factor/amplifier_count."""
     profiles = []
     for line_no, line in _nonblank_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {line_no}: malformed profile record: {exc.msg}") from exc
+        record = _load_record(line, line_no, "profile")
         if not isinstance(record, dict):
             raise FormatError(f"line {line_no}: profile record must be a JSON object")
         for key in _PROFILE_KEYS:

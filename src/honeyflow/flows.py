@@ -4,15 +4,20 @@ A *flow scheme* picks which packet fields form the flow identifier and at
 which scope flows are tracked: per-sensor (the sensor id is part of the key)
 or per-platform (packets from all sensors share keys; the sensor and the
 sensor-identifying dst address are ignored unless explicitly selected).
-Assembly then splits each key's packet sequence wherever the gap between
-consecutive packets exceeds the idle timeout.
+Assembly keys and sorts the trace once per scheme, then splits each key's
+packet sequence wherever the gap between consecutive packets exceeds the
+idle timeout; a threshold sweep splits that one keyed order at each of its
+timeouts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .events import PacketEvent, int_to_ipv4, ipv4_to_int
 
@@ -100,6 +105,15 @@ class FlowKey(NamedTuple):
         return FlowKey(None, self.src, None, self.src_port, self.dst_port)
 
 
+def _src_label(scheme: FlowScheme) -> Callable[[str], str] | None:
+    """The source as the scheme keys it: the CIDR of its prefix, or None for the address itself."""
+    if not scheme.use_src_prefix:
+        return None
+    plen = scheme.src_prefix_len
+    mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    return lambda addr: f"{int_to_ipv4(ipv4_to_int(addr) & mask)}/{plen}"
+
+
 def key_function(scheme: FlowScheme) -> Callable[[PacketEvent], FlowKey]:
     """Compile a scheme into a per-event key extractor.
 
@@ -112,16 +126,14 @@ def key_function(scheme: FlowScheme) -> Callable[[PacketEvent], FlowKey]:
     use_sport = scheme.use_src_port
     use_dport = scheme.use_dst_port
 
-    if scheme.use_src_prefix:
-        plen = scheme.src_prefix_len
-        mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    label = _src_label(scheme)
+    if label is not None:
         cache: dict[str, str] = {}
 
         def src_of(addr: str) -> str:
             cidr = cache.get(addr)
             if cidr is None:
-                cidr = f"{int_to_ipv4(ipv4_to_int(addr) & mask)}/{plen}"
-                cache[addr] = cidr
+                cidr = cache[addr] = label(addr)
             return cidr
 
     else:
@@ -177,6 +189,116 @@ class Flow(NamedTuple):
         return frozenset(p.dst_port for p in self.packets)
 
 
+# PacketEvent attributes behind the FlowKey fields, position by position
+_KEY_ATTRS = ("sensor", "src_ip", "dst_ip", "src_port", "dst_port")
+
+
+def _rank_codes(values: list, label: Callable | None = None) -> tuple[np.ndarray, list]:
+    """Code each value by the rank of its label among the sorted distinct labels.
+
+    Returns the codes and the sorted labels, so ``labels[code]`` is a
+    value's label. Without ``label`` a value is its own label.
+    """
+    label_of = {value: value if label is None else label(value) for value in set(values)}
+    labels = sorted(set(label_of.values()))
+    rank = {lab: code for code, lab in enumerate(labels)}
+    code_of = {value: rank[lab] for value, lab in label_of.items()}
+    return np.fromiter(map(code_of.__getitem__, values), np.int32, len(values)), labels
+
+
+class _KeyedSplit:
+    """An event list keyed and sorted once for one scheme.
+
+    Each selected key field is coded by the rank of its value (for the
+    source: of its address or CIDR string), so ordering by the codes is
+    ordering by :meth:`FlowKey.sort_key`. One stable sort by (key, ts) puts
+    each key's packets together in stream order; the key-change mask and the
+    inter-packet gaps of that order are computed once. A flow is then a run
+    of the order that starts at a key change or at a gap over the idle
+    timeout, so every timeout splits the same arrays and nothing is keyed
+    again.
+    """
+
+    def __init__(self, events: list[PacketEvent], scheme: FlowScheme) -> None:
+        self.events = events
+        ts = np.fromiter(map(attrgetter("ts"), events), np.float64, len(events))
+        regressed = np.flatnonzero(ts[1:] < ts[:-1])
+        # position of the first event whose ts is below its predecessor's, or 0
+        self._regressed_at = int(regressed[0]) + 1 if regressed.size else 0
+        used = (scheme.scope == PER_SENSOR, True, scheme.use_dst_addr, scheme.use_src_port, scheme.use_dst_port)
+        self.key_attrs = tuple(attr for attr, on in zip(_KEY_ATTRS, used) if on)
+        self._src_label = _src_label(scheme)
+        key_columns = [self._rank(attr) for attr in self.key_attrs]
+        self.order = np.lexsort([ts] + [codes for codes, _ in reversed(key_columns)])
+        self.ts = ts[self.order]
+        self._columns = {
+            attr: (codes[self.order], labels) for attr, (codes, labels) in zip(self.key_attrs, key_columns)
+        }
+        self.key_change = np.zeros(len(events), dtype=bool)
+        self.key_change[:1] = True
+        for codes, _ in self._columns.values():
+            self.key_change[1:] |= codes[1:] != codes[:-1]
+        self.gap = np.diff(self.ts, prepend=self.ts[:1])
+        # key number of each position; keys are numbered in sort_key order
+        self.key_index = np.cumsum(self.key_change) - 1
+
+    def _rank(self, attr: str) -> tuple[np.ndarray, list]:
+        label = self._src_label if attr == "src_ip" else None
+        return _rank_codes(list(map(attrgetter(attr), self.events)), label)
+
+    def _column(self, attr: str) -> tuple[np.ndarray, list]:
+        column = self._columns.get(attr)
+        if column is None:
+            codes, labels = self._rank(attr)
+            column = self._columns[attr] = (codes[self.order], labels)
+        return column
+
+    def codes(self, attr: str) -> np.ndarray:
+        """Rank codes of one event attribute (of the keyed source for ``src_ip``), in sorted order."""
+        return self._column(attr)[0]
+
+    def labels(self, attr: str) -> list:
+        """The sorted distinct values that :meth:`codes` numbers."""
+        return self._column(attr)[1]
+
+    def flow_starts(self, idle_timeout: float) -> np.ndarray:
+        """Positions in sorted order where a flow begins under ``idle_timeout``."""
+        if not idle_timeout > 0:
+            raise ValueError(f"idle_timeout must be positive: {idle_timeout}")
+        if self._regressed_at:
+            event, prev = self.events[self._regressed_at], self.events[self._regressed_at - 1]
+            raise UnsortedTraceError(
+                f"event at ts={event.ts} arrived after ts={prev.ts}; assemble requires a time-ordered stream"
+            )
+        return np.flatnonzero(self.key_change | (self.gap > idle_timeout))
+
+    def _keys(self) -> list[FlowKey]:
+        """One FlowKey per key number."""
+        heads = np.flatnonzero(self.key_change)
+        fields = []
+        for attr in _KEY_ATTRS:
+            if attr in self.key_attrs:
+                codes, labels = self._columns[attr]
+                fields.append([labels[code] for code in codes[heads].tolist()])
+            else:
+                fields.append(repeat(None))
+        return list(map(FlowKey, *fields))
+
+    def flows(self, starts: np.ndarray) -> list[Flow]:
+        """The flows beginning at ``starts``, ordered by (first_ts, key)."""
+        stops = np.append(starts[1:], len(self.events))
+        key_index = self.key_index[starts]
+        canonical = np.lexsort((key_index, self.ts[starts]))
+        keys = self._keys()
+        packets = [self.events[i] for i in self.order.tolist()]
+        return [
+            Flow(keys[k], tuple(packets[a:b]))
+            for k, a, b in zip(
+                key_index[canonical].tolist(), starts[canonical].tolist(), stops[canonical].tolist()
+            )
+        ]
+
+
 def assemble(
     events: Iterable[PacketEvent],
     scheme: FlowScheme,
@@ -193,32 +315,14 @@ def assemble(
     Every event lands in exactly one flow, so the result is a partition of
     the input. Flows come back sorted by (first_ts, key).
 
-    Raises :class:`UnsortedTraceError` the moment a timestamp regresses;
-    silently mis-assembling an unsorted trace would corrupt every count
-    downstream.
+    The stream is keyed and sorted by (key, ts) once; flows are the runs of
+    that order split at key changes and at gaps over the timeout.
+    :func:`honeyflow.sweep.sweep` splits the same keyed order at every
+    timeout of its grid.
+
+    Raises :class:`UnsortedTraceError` naming the first timestamp that
+    regresses; silently mis-assembling an unsorted trace would corrupt every
+    count downstream.
     """
-    if not idle_timeout > 0:
-        raise ValueError(f"idle_timeout must be positive: {idle_timeout}")
-    key_of = key_function(scheme)
-    open_flows: dict[FlowKey, list[PacketEvent]] = {}
-    done: list[Flow] = []
-    prev_ts = -math.inf
-    for event in events:
-        if event.ts < prev_ts:
-            raise UnsortedTraceError(
-                f"event at ts={event.ts} arrived after ts={prev_ts}; assemble requires a time-ordered stream"
-            )
-        prev_ts = event.ts
-        key = key_of(event)
-        packets = open_flows.get(key)
-        if packets is None:
-            open_flows[key] = [event]
-        elif event.ts - packets[-1].ts > idle_timeout:
-            done.append(Flow(key, tuple(packets)))
-            open_flows[key] = [event]
-        else:
-            packets.append(event)
-    for key, packets in open_flows.items():
-        done.append(Flow(key, tuple(packets)))
-    done.sort(key=lambda f: (f.packets[0].ts, f.key.sort_key()))
-    return done
+    split = _KeyedSplit(list(events), scheme)
+    return split.flows(split.flow_starts(idle_timeout))

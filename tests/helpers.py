@@ -3,8 +3,11 @@
 The flow-partition oracle deliberately reimplements flow semantics from
 scratch (ipaddress for prefix truncation, plain dict-of-lists grouping,
 explicit gap scan) so the engine and the oracle can only agree by both
-being right. The ingest oracle is the plain line-by-line parser and sort
-that :func:`honeyflow.load_trace` must stay equal to.
+being right. The assembly oracle is the stream-order, dict-of-open-flows
+assembly that :func:`honeyflow.flows.assemble` must stay equal to, flow
+order and error text included; the sweep oracle recomputes every grid cell
+with a fresh assemble + detect. The ingest oracle is the plain line-by-line
+parser and sort that :func:`honeyflow.load_trace` must stay equal to.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ import ipaddress
 import json
 import math
 import random
+from dataclasses import replace
 
 from honeyflow import FormatError, PacketEvent
+from honeyflow.detection import detect, victims
 from honeyflow.events import ipv4_to_int
-from honeyflow.flows import PER_SENSOR, FlowScheme
+from honeyflow.flows import PER_SENSOR, Flow, FlowKey, FlowScheme, UnsortedTraceError, assemble, key_function
 
 TEST_PORTS = (53, 123, 389)
 TEST_SRC_PORTS = (1111, 2222, 3333, 4444, 5555)
@@ -73,6 +78,8 @@ def oracle_parse_event_line(line: str, line_no: int) -> PacketEvent:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {line_no}: malformed event record: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal over the int/str conversion digit limit
+        raise FormatError(f"line {line_no}: malformed event record: {exc}") from exc
     if not isinstance(record, dict):
         raise FormatError(f"line {line_no}: event record must be a JSON object")
     for key in _ORACLE_EVENT_KEYS:
@@ -192,6 +199,66 @@ def oracle_partition(
     events: list[PacketEvent], scheme: FlowScheme, idle_timeout: float
 ) -> set[tuple[int, ...]]:
     return oracle_split_gaps(events, oracle_group_indices(events, scheme), idle_timeout)
+
+
+def oracle_assemble(events, scheme: FlowScheme, idle_timeout: float) -> list[Flow]:
+    """Stream-order assembly: one open flow per key in a dict, split on the gap.
+
+    This is the engine's assembly before it keyed and sorted once per
+    scheme; :func:`honeyflow.flows.assemble` must return the same flows in
+    the same order and raise the same errors.
+    """
+    if not idle_timeout > 0:
+        raise ValueError(f"idle_timeout must be positive: {idle_timeout}")
+    key_of = key_function(scheme)
+    open_flows: dict[FlowKey, list[PacketEvent]] = {}
+    done: list[Flow] = []
+    prev_ts = -math.inf
+    for event in events:
+        if event.ts < prev_ts:
+            raise UnsortedTraceError(
+                f"event at ts={event.ts} arrived after ts={prev_ts}; assemble requires a time-ordered stream"
+            )
+        prev_ts = event.ts
+        key = key_of(event)
+        packets = open_flows.get(key)
+        if packets is None:
+            open_flows[key] = [event]
+        elif event.ts - packets[-1].ts > idle_timeout:
+            done.append(Flow(key, tuple(packets)))
+            open_flows[key] = [event]
+        else:
+            packets.append(event)
+    for key, packets in open_flows.items():
+        done.append(Flow(key, tuple(packets)))
+    done.sort(key=lambda f: (f.packets[0].ts, f.key.sort_key()))
+    return done
+
+
+def oracle_sweep(events, scheme: FlowScheme, timeouts, loads, base_thresholds) -> list[list[tuple[int, int]]]:
+    """Each (timeout, load) cell from a fresh assemble + detect, as (attack flows, victims).
+
+    Cells are visited in grid order, so errors surface in the order the
+    per-cell recomputation meets them.
+    """
+    stream = list(events)
+    grid = []
+    for timeout in timeouts:
+        flows = assemble(stream, scheme, timeout)
+        row = []
+        for load in loads:
+            detected = detect(flows, replace(base_thresholds, idle_timeout=timeout, min_packets=load))
+            row.append((sum(len(e.flows) for e in detected), len(victims(detected))))
+        grid.append(row)
+    return grid
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def flows_to_index_partition(flows, events: list[PacketEvent]) -> set[tuple[int, ...]]:

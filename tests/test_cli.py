@@ -262,6 +262,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
                    "--preset", "ccc", "--out", str(tmp_path)) == 2
     assert "line 1: ts must be a finite non-negative number" in capsys.readouterr().err
 
+    over_limit = tmp_path / "digits.jsonl"  # an integer literal json.loads refuses to convert
+    over_limit.write_text('{"ts": 1.0, "sensor": "s1", "src_ip": "198.51.100.7", "src_port": 1,'
+                          ' "dst_ip": "192.0.2.1", "dst_port": 123}\n'
+                          '{"ts": 1%s, "sensor": "s1", "src_ip": "198.51.100.7", "src_port": 1,'
+                          ' "dst_ip": "192.0.2.1", "dst_port": 123}\n' % ("0" * 5000))
+    assert run_cli("detect", "--events", str(over_limit),
+                   "--preset", "ccc", "--out", str(tmp_path)) == 2
+    assert "line 2: malformed event record: Exceeds the limit" in capsys.readouterr().err
+
     contradictory = tmp_path / "spec.json"
     contradictory.write_text(json.dumps({
         "duration_s": 10.0,

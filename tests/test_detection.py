@@ -173,6 +173,16 @@ def test_cluster_window_shrinks_to_earliest_end():
     assert event.sensors == frozenset({"s1", "s2"})
 
 
+def test_cluster_takes_a_flow_starting_at_the_window_end():
+    # A covers [0,100], B [100,200]: touching flows overlap, so they cluster
+    events = burst("203.0.113.9", 26, dt=4.0, sensor="s1") + burst(
+        "203.0.113.9", 26, t0=100.0, dt=4.0, sensor="s2"
+    )
+    (event,) = detect_burst(events, "hpi")
+    assert event.sensors == frozenset({"s1", "s2"})
+    assert (event.first_ts, event.last_ts) == (0.0, 200.0)
+
+
 def test_cluster_respects_key_modulo_sensor():
     # same source, different dst ports: separate cluster groups, each one sensor
     events = burst("203.0.113.9", 25, sensor="s1", dport=123) + burst(
@@ -211,6 +221,15 @@ def test_victims_deduplicates():
     attacks = detect_burst(events, "ccc")
     assert len(attacks) == 2
     assert victims(attacks) == {Victim("203.0.113.9", GRANULARITY_ADDRESS)}
+
+
+def test_events_share_equal_victims_and_sets():
+    # one event per flow must not hold one copy of each victim and set per event
+    events = burst("203.0.113.9", 5, dport=123) + burst("203.0.113.9", 5, dport=123, t0=0.2, sensor="s2")
+    first, second = detect_burst(events, "ccc")
+    assert first.sensors != second.sensors
+    assert first.victim is second.victim
+    assert first.dst_ports is second.dst_ports
 
 
 def test_events_ordered_and_empty_input():

@@ -169,6 +169,36 @@ def test_huge_integer_timestamps_are_format_errors(tmp_path):
             parse_baseline_line(json.dumps(record), 5)
 
 
+# json.loads raises a plain ValueError, not a JSONDecodeError, for an integer
+# literal over the int/str conversion limit (4300 digits)
+OVER_DIGIT_LIMIT = "1" + "0" * 5000
+
+
+def test_event_over_digit_limit_is_a_format_error(tmp_path):
+    line = serialize_event(sample_event()).replace('"ts":100.5', f'"ts":{OVER_DIGIT_LIMIT}')
+    with pytest.raises(FormatError, match="^line 3: malformed event record: Exceeds the limit"):
+        parse_event_line(line, 3)
+    path = tmp_path / "events.jsonl"
+    path.write_text(serialize_event(sample_event()) + "\n" + line + "\n")
+    with pytest.raises(FormatError, match="^line 2: malformed event record: Exceeds the limit"):
+        load_trace(str(path))
+
+
+def test_baseline_over_digit_limit_is_a_format_error():
+    line = f'{{"start_ts": {OVER_DIGIT_LIMIT}, "end_ts": 2, "protocols": [], "prefixes": []}}'
+    with pytest.raises(FormatError, match="^line 5: malformed baseline record: Exceeds the limit"):
+        parse_baseline_line(line, 5)
+
+
+def test_profile_over_digit_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    write_profiles([ProtocolProfile("NTP", 123, 13.0, 557.0, 2_300_000)], str(path))
+    good = path.read_text()
+    path.write_text(good + good.replace("2300000", OVER_DIGIT_LIMIT))
+    with pytest.raises(FormatError, match="^line 2: malformed profile record: Exceeds the limit"):
+        load_profiles(str(path))
+
+
 def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
     path = tmp_path / "events.jsonl"
     write_trace([sample_event(ts=1.0), sample_event(ts=2.0), sample_event(ts=3.0)], str(path))

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     flows_to_index_partition,
     make_random_trace,
     make_sensors,
+    oracle_assemble,
     oracle_partition,
     oracle_schemes,
+    outcome,
 )
 from honeyflow import PacketEvent
 from honeyflow.flows import (
@@ -167,3 +171,55 @@ def test_partition_covers_every_event_exactly_once():
         flows = assemble(events, scheme, 120.0)
         indices = sorted(i for f in flows for i in flows_to_index_partition([f], events).pop())
         assert indices == list(range(len(events)))
+
+
+# -- assemble against the stream-order oracle ----------------------------------
+
+_PREFIX_EDGES = [
+    FlowScheme(scope=PER_PLATFORM, use_src_addr=False, use_src_prefix=True, src_prefix_len=0),
+    FlowScheme(scope=PER_SENSOR, use_src_addr=False, use_src_prefix=True, src_prefix_len=32,
+               use_dst_addr=True, use_src_port=True),
+]
+# string order differs from numeric order ("10.0.0.10" < "10.0.0.9"), and the
+# prefixes nest at /0, /8, /16, /24 and /32
+_SOURCES = ("10.0.0.9", "10.0.0.10", "10.0.1.9", "10.1.0.9", "9.255.255.255", "200.0.0.1")
+_EDGE_SENSORS = ("s1", "s10", "s2")
+
+
+@st.composite
+def _streams(draw):
+    """Packets on a 0.5 s grid, so gaps of exactly 0.5, 1.0 and 2.5 s occur."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(0, 30),
+            st.sampled_from(_EDGE_SENSORS),
+            st.sampled_from(_SOURCES),
+            st.sampled_from((1111, 2222)),
+            st.sampled_from((53, 123, 389)),
+            st.integers(1, 3),  # copies: duplicate packets, as equal objects and as one object
+        ),
+        max_size=40,
+    ))
+    events = []
+    for tick, sensor, src, sport, dport, copies in rows:
+        fields = (tick * 0.5, sensor, src, sport, f"192.0.2.{_EDGE_SENSORS.index(sensor)}", dport)
+        shared = PacketEvent(*fields)
+        events += [shared] * (copies - 1) + [PacketEvent(*fields)]
+    if draw(st.booleans()):
+        events.sort(key=lambda e: e.ts)  # stable: equal timestamps keep stream order
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    events=_streams(),
+    scheme=st.sampled_from(oracle_schemes() + _PREFIX_EDGES),
+    timeout=st.sampled_from((0.5, 1.0, 2.5, 1e9, 0.0, -1.0)),
+)
+def test_assemble_equals_stream_order_oracle(events, scheme, timeout):
+    engine = outcome(assemble, events, scheme, timeout)
+    oracle = outcome(oracle_assemble, events, scheme, timeout)
+    assert engine == oracle
+    if isinstance(engine, list):
+        # equal flows could still hold equal-valued duplicates out of stream order
+        assert [[id(p) for p in f.packets] for f in engine] == [[id(p) for p in f.packets] for f in oracle]

@@ -2,10 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_random_trace
+from helpers import make_random_trace, oracle_sweep, outcome
+from honeyflow import PacketEvent
 from honeyflow.detection import PRESETS, AttackThresholds, detect, victims
-from honeyflow.flows import assemble
+from honeyflow.flows import PER_PLATFORM, PER_SENSOR, FlowScheme, assemble
 from honeyflow.sweep import HeatmapGrid, sweep, write_heatmap_csv
 
 TIMEOUTS = [60.0, 300.0, 900.0, 3600.0]
@@ -92,3 +95,108 @@ def test_cell_accessor_rejects_unknown_axis():
     )
     with pytest.raises(ValueError):
         grid.cell(61.0, 1)
+
+
+# -- sweep against per-cell recomputation ----------------------------------------
+
+_SENSORS = ("s1", "s2", "s3")
+_SOURCES = ("10.0.0.1", "10.0.1.1")
+_PLATFORM_ALL_PORTS = FlowScheme(scope=PER_PLATFORM, use_dst_port=False)
+_SWEEP_CASES = {
+    "ccc": (PRESETS["ccc"].scheme, {}),
+    "hpi": (PRESETS["hpi"].scheme, {"min_sensors": 2, "comparison": ">"}),
+    "hpi-at-least": (PRESETS["hpi"].scheme, {"min_sensors": 2}),
+    "newkid-multi": (PRESETS["newkid-multi"].scheme, {"min_dst_ports": 2}),
+    "platform-sensors": (PRESETS["amppotmod"].scheme, {"min_sensors": 2}),
+    "platform-sensors-ports": (_PLATFORM_ALL_PORTS, {"min_sensors": 2, "min_dst_ports": 2, "comparison": ">"}),
+    "hpi-ports": (FlowScheme(scope=PER_SENSOR, use_dst_port=False), {"min_sensors": 2, "min_dst_ports": 2}),
+}
+
+
+@st.composite
+def _sorted_streams(draw):
+    """Few keys on a 1 s grid, so flows overlap across sensors and merge or split by timeout.
+
+    Each sensor has two addresses, so one sensor can hold two overlapping
+    flows of one hpi cluster.
+    """
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 12), st.sampled_from(_SENSORS), st.integers(0, 1),
+                  st.sampled_from(_SOURCES), st.sampled_from((53, 123, 389))),
+        min_size=8, max_size=60,
+    ))
+    events = [
+        PacketEvent(float(tick), sensor, src, 4444, f"192.0.2.{2 * _SENSORS.index(sensor) + addr}", dport)
+        for tick, sensor, addr, src, dport in rows
+    ]
+    events.sort(key=lambda e: e.ts)
+    return events
+
+
+def _increasing(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    events=_sorted_streams(),
+    case=st.sampled_from(sorted(_SWEEP_CASES)),
+    timeouts=_increasing((0.5, 1.0, 2.0, 3.0, 10.0, 1e9)),
+    loads=_increasing((1, 1.5, 2, 2.5, 3, 4, 6, 10)),
+)
+def test_sweep_equals_per_cell_recomputation(events, case, timeouts, loads):
+    scheme, knobs = _SWEEP_CASES[case]
+    base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, **knobs)
+    grid = sweep(events, scheme, timeouts, loads, base)
+    cells = [[grid.cell(t, load) for load in loads] for t in timeouts]
+    assert cells == oracle_sweep(events, scheme, timeouts, loads, base)
+
+
+@pytest.mark.parametrize(
+    "events, scheme, timeouts, loads, knobs",
+    [
+        ("trace", "ccc", [0.0, 60.0], LOADS, {}),                       # non-positive timeout
+        ("trace", "ccc", [-5.0], LOADS, {}),
+        ("trace", "ccc", TIMEOUTS, [0, 5], {}),                         # load 0
+        ("unsorted", "ccc", TIMEOUTS, LOADS, {}),
+        ("unsorted", "ccc", TIMEOUTS, [0, 5], {}),                      # unsorted before the load
+        ("unsorted", "ccc", [0.0], LOADS, {}),                          # timeout before unsorted
+        ("trace", "ccc", TIMEOUTS, LOADS, {"min_dst_ports": 2}),        # port-keyed scheme
+        ("trace", "ccc", TIMEOUTS, [0, 5], {"min_dst_ports": 2}),       # load before the scheme
+        ("empty", "ccc", TIMEOUTS, [0, 5], {}),
+        ("empty", "ccc", [0.0], LOADS, {}),
+    ],
+)
+def test_sweep_raises_what_per_cell_recomputation_raises(events, scheme, timeouts, loads, knobs):
+    trace = make_random_trace(random.Random(2), 200)
+    events = {"trace": trace, "unsorted": trace[::-1], "empty": []}[events]
+    base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, **knobs)
+    args = (events, PRESETS[scheme].scheme, timeouts, loads, base)
+    expected = outcome(oracle_sweep, *args)
+    assert isinstance(expected, tuple)  # every case raises
+    assert outcome(sweep, *args) == expected
+
+
+def test_cluster_on_one_sensor_with_two_addresses_spans_one_sensor():
+    # hpi keys include the dst address, so one sensor can hold two
+    # overlapping flows of one cluster; they still count as one sensor
+    def burst(dst, t0):
+        return [PacketEvent(t0 + i, "s1", "203.0.113.9", 4444, dst, 123) for i in range(10)]
+
+    events = sorted(burst("192.0.2.1", 0.0) + burst("192.0.2.2", 0.5), key=lambda e: e.ts)
+    base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, min_sensors=2)
+    grid = sweep(events, PRESETS["hpi"].scheme, [60.0], [1, 5], base)
+    assert grid.cell(60.0, 1) == grid.cell(60.0, 5) == (0, 0)
+    one = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1)
+    assert sweep(events, PRESETS["hpi"].scheme, [60.0], [1, 5], one).cell(60.0, 5) == (2, 1)
+
+
+def test_empty_trace_gives_all_zero_grid():
+    for case, (scheme, knobs) in _SWEEP_CASES.items():
+        base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, **knobs)
+        grid = sweep([], scheme, TIMEOUTS, LOADS, base)
+        assert grid.attack_flows.shape == grid.victims.shape == (len(TIMEOUTS), len(LOADS)), case
+        assert not grid.attack_flows.any() and not grid.victims.any(), case
+    # no flows means no cell to reject: a port-keyed scheme with min_dst_ports passes
+    base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, min_dst_ports=2)
+    assert not sweep([], PRESETS["ccc"].scheme, TIMEOUTS, LOADS, base).attack_flows.any()
