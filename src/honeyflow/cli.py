@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
 from . import __version__
 from .completeness import (
@@ -28,10 +29,9 @@ from .completeness import (
 from .convergence import (
     GREEDY_MAX_COVERAGE,
     GREEDY_STATIC_SORT,
+    _ensemble_and_trace,
     greedy_order,
-    permutation_ensemble,
     sensor_victim_map,
-    stability_trace,
     write_greedy_csv,
     write_rank_statistics_csv,
     write_stability_csv,
@@ -166,24 +166,18 @@ def _resolve_detector(parser: _Parser, args) -> tuple[str, object, AttackThresho
     return name, scheme, thresholds, config
 
 
-def _csv_floats(text: str) -> list[float]:
+def _csv_list(convert, noun: str, text: str) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [convert(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("grid must name at least one value")
     return values
 
 
-def _csv_ints(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("grid must name at least one value")
-    return values
+_csv_floats = partial(_csv_list, float, "float")
+_csv_ints = partial(_csv_list, int, "integer")
 
 
 _RATE_SUFFIXES = {"gbps": 1e9, "mbps": 1e6, "kbps": 1e3, "bps": 1.0}
@@ -268,10 +262,7 @@ def _cmd_converge(parser: _Parser, args) -> int:
     attacks = detect(assemble(events, scheme, thresholds.idle_timeout), thresholds)
     mapping = sensor_victim_map(attacks)
     curve = greedy_order(mapping, strategy=args.strategy)
-    stats = permutation_ensemble(mapping, n_permutations=args.n_permutations, seed=args.seed)
-    trace = stability_trace(
-        mapping, batch=args.batch, max_permutations=args.n_permutations, seed=args.seed
-    )
+    stats, trace = _ensemble_and_trace(mapping, args.n_permutations, args.batch, args.seed)
     write_greedy_csv(curve, os.path.join(out, "greedy.csv"))
     write_rank_statistics_csv(stats, os.path.join(out, "convergence.csv"))
     write_stability_csv(trace, os.path.join(out, "stability.csv"))

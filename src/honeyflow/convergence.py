@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -152,42 +154,46 @@ class RankStatistics:
         return len(self.medians)
 
 
-def _bitmask_rows(mapping: Mapping[str, set]) -> tuple[list[str], list[int], int]:
-    """Sensors in id order, one victim bitmask per sensor, and the union size."""
-    sensors = sorted(mapping)
+def _bitmask_rows(mapping: Mapping[str, set]) -> tuple[list[int], int]:
+    """One victim bitmask per sensor, in sensor id order, and the union size."""
     index: dict[Hashable, int] = {}
     masks = []
-    for sensor in sensors:
+    for sensor in sorted(mapping):
         mask = 0
         for victim in mapping[sensor]:
             bit = index.setdefault(victim, len(index))
             mask |= 1 << bit
         masks.append(mask)
-    return sensors, masks, len(index)
+    return masks, len(index)
 
 
-def _fill_coverage_counts(
-    counts: np.ndarray, masks: Sequence[int], rng: np.random.Generator, start: int, stop: int
-) -> None:
-    """Fill rows start..stop with cumulative union sizes of fresh random orders."""
-    n = len(masks)
-    for i in range(start, stop):
-        row = counts[i]
-        union = 0
-        for rank, j in enumerate(rng.permutation(n)):
-            union |= masks[j]
-            row[rank] = union.bit_count()
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1: {value}")
 
 
-def _summarize(counts: np.ndarray, union_size: int) -> tuple[np.ndarray, ...]:
-    shares = counts / union_size if union_size else np.ones_like(counts)
-    return (
-        shares.min(axis=0),
-        np.percentile(shares, 25, axis=0),
-        np.percentile(shares, 50, axis=0),
-        np.percentile(shares, 75, axis=0),
-        shares.max(axis=0),
-    )
+def _coverage_shares(mapping: Mapping[str, set], n: int, seed: int | None) -> tuple[np.ndarray, int]:
+    """Shares covered by the first r sensors (column r - 1) of ``n`` random orders, and the union.
+
+    Row i is the i-th order from ``default_rng(seed)``; shares are 1.0 when
+    the union is empty. Every summary of a convergence run reads this matrix.
+    """
+    masks, union_size = _bitmask_rows(mapping)
+    rng = np.random.default_rng(seed)
+    shares = np.empty((n, len(masks)), dtype=np.float64)
+    for row in shares:
+        order = map(masks.__getitem__, rng.permutation(len(masks)).tolist())
+        row[:] = [union.bit_count() for union in accumulate(order, or_)]
+    if union_size:
+        shares /= union_size
+    else:
+        shares.fill(1.0)
+    return shares, union_size
+
+
+def _rank_statistics(shares: np.ndarray, union_size: int) -> RankStatistics:
+    q1, medians, q3 = np.percentile(shares, [25, 50, 75], axis=0)
+    return RankStatistics(len(shares), union_size, shares.min(axis=0), q1, medians, q3, shares.max(axis=0))
 
 
 def permutation_ensemble(
@@ -209,22 +215,8 @@ def permutation_ensemble(
         share at every rank.
     """
     _check_mapping(mapping)
-    if n_permutations < 1:
-        raise ValueError(f"n_permutations must be >= 1: {n_permutations}")
-    _, masks, union_size = _bitmask_rows(mapping)
-    rng = np.random.default_rng(seed)
-    counts = np.empty((n_permutations, len(masks)), dtype=np.float64)
-    _fill_coverage_counts(counts, masks, rng, 0, n_permutations)
-    mins, q1, medians, q3, maxs = _summarize(counts, union_size)
-    return RankStatistics(
-        n_permutations=n_permutations,
-        union_size=union_size,
-        mins=mins,
-        q1=q1,
-        medians=medians,
-        q3=q3,
-        maxs=maxs,
-    )
+    _check_count("n_permutations", n_permutations)
+    return _rank_statistics(*_coverage_shares(mapping, n_permutations, seed))
 
 
 @dataclass(frozen=True)
@@ -245,6 +237,21 @@ def _relative_delta(new: np.ndarray, old: np.ndarray) -> float:
     return float(out.max())
 
 
+def _stability_points(shares: np.ndarray, batch: int) -> list[StabilityPoint]:
+    """Min/median/max movement over the first batch, 2 * batch, ... rows of ``shares``."""
+    points: list[StabilityPoint] = []
+    prev = None
+    for done in [*range(batch, len(shares), batch), len(shares)]:
+        sample = shares[:done]
+        summary = (sample.min(axis=0), np.percentile(sample, 50, axis=0), sample.max(axis=0))
+        if prev is None:
+            points.append(StabilityPoint(done, 1.0, 1.0, 1.0))
+        else:
+            points.append(StabilityPoint(done, *map(_relative_delta, summary, prev)))
+        prev = summary
+    return points
+
+
 def stability_trace(
     mapping: Mapping[str, set],
     batch: int = 100,
@@ -261,34 +268,22 @@ def stability_trace(
     single :func:`permutation_ensemble` run at the same seed and size.
     """
     _check_mapping(mapping)
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1: {batch}")
-    if max_permutations < 1:
-        raise ValueError(f"max_permutations must be >= 1: {max_permutations}")
-    _, masks, union_size = _bitmask_rows(mapping)
-    rng = np.random.default_rng(seed)
-    counts = np.empty((max_permutations, len(masks)), dtype=np.float64)
-    points: list[StabilityPoint] = []
-    prev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    done = 0
-    while done < max_permutations:
-        take = min(batch, max_permutations - done)
-        _fill_coverage_counts(counts, masks, rng, done, done + take)
-        done += take
-        mins, _, medians, _, maxs = _summarize(counts[:done], union_size)
-        if prev is None:
-            points.append(StabilityPoint(done, 1.0, 1.0, 1.0))
-        else:
-            points.append(
-                StabilityPoint(
-                    done,
-                    _relative_delta(mins, prev[0]),
-                    _relative_delta(medians, prev[1]),
-                    _relative_delta(maxs, prev[2]),
-                )
-            )
-        prev = (mins, medians, maxs)
-    return points
+    _check_count("batch", batch)
+    _check_count("max_permutations", max_permutations)
+    shares, _ = _coverage_shares(mapping, max_permutations, seed)
+    return _stability_points(shares, batch)
+
+
+def _ensemble_and_trace(
+    mapping: Mapping[str, set], n_permutations: int, batch: int, seed: int | None
+) -> tuple[RankStatistics, list[StabilityPoint]]:
+    """:func:`permutation_ensemble` and :func:`stability_trace` at ``max_permutations =
+    n_permutations``, both from one sample: the orders are drawn once."""
+    _check_mapping(mapping)
+    _check_count("n_permutations", n_permutations)
+    _check_count("batch", batch)
+    shares, union_size = _coverage_shares(mapping, n_permutations, seed)
+    return _rank_statistics(shares, union_size), _stability_points(shares, batch)
 
 
 def capture_recapture(sample_a: Iterable[Hashable], sample_b: Iterable[Hashable]) -> int:

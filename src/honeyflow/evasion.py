@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .detection import PRESETS, DetectionPreset
-from .events import ProtocolProfile, open_artifact
+from .events import ProtocolProfile, _check_positive, open_artifact
 
 __all__ = [
     "BUILTIN_PROFILES",
@@ -58,10 +58,8 @@ class EvasionScenario:
     platform_sensor_count: int = 8
 
     def __post_init__(self) -> None:
-        if not self.attack_load_bps > 0:
-            raise ValueError(f"attack_load_bps must be positive: {self.attack_load_bps}")
-        if not self.duration_s > 0:
-            raise ValueError(f"duration_s must be positive: {self.duration_s}")
+        _check_positive(self.attack_load_bps, "attack_load_bps")
+        _check_positive(self.duration_s, "duration_s")
         if self.platform_sensor_count < 1:
             raise ValueError(
                 f"platform_sensor_count must be >= 1: {self.platform_sensor_count}"

@@ -149,6 +149,16 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _check_positive(value, name: str) -> None:
+    """Require a finite positive int or float (not bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number: {value!r}")
+    if not value > 0:
+        raise ValueError(f"{name} must be positive: {value}")
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be finite: {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class PacketEvent:
     """One packet seen by one sensor.
@@ -205,6 +215,22 @@ def _load_record(line: str, line_no: int, kind: str):
         raise FormatError(f"line {line_no}: malformed {kind} record: {exc}") from exc
 
 
+def _check_record(record, keys: tuple[str, ...], kind: str, line_no: int) -> None:
+    """Raise the FormatError for a record that is not an object with exactly ``keys``.
+
+    A non-object is reported first, then the first missing key in ``keys``
+    order, then the first unexpected key in record order.
+    """
+    if not isinstance(record, dict):
+        raise FormatError(f"line {line_no}: {kind} record must be a JSON object")
+    for key in keys:
+        if key not in record:
+            raise FormatError(f"line {line_no}: missing key '{key}'")
+    for key in record:
+        if key not in keys:
+            raise FormatError(f"line {line_no}: unexpected key '{key}'")
+
+
 def _check_address(record: dict, name: str, line_no: int) -> str:
     addr = record[name]
     try:
@@ -216,14 +242,7 @@ def _check_address(record: dict, name: str, line_no: int) -> str:
 
 def _diagnose_event(record, line_no: int) -> None:
     """Raise the FormatError naming the first bad field of ``record``, if any."""
-    if not isinstance(record, dict):
-        raise FormatError(f"line {line_no}: event record must be a JSON object")
-    for key in _EVENT_KEYS:
-        if key not in record:
-            raise FormatError(f"line {line_no}: missing key '{key}'")
-    for key in record:
-        if key not in _EVENT_KEY_SET:
-            raise FormatError(f"line {line_no}: unexpected key '{key}'")
+    _check_record(record, _EVENT_KEYS, "event", line_no)
     ts = record["ts"]
     if not _is_finite(ts) or ts < 0:
         raise FormatError(f"line {line_no}: ts must be a finite non-negative number")
@@ -379,14 +398,7 @@ _BASELINE_KEYS = ("start_ts", "end_ts", "protocols", "prefixes")
 
 def parse_baseline_line(line: str, line_no: int = 0) -> BaselineAttack:
     record = _load_record(line, line_no, "baseline")
-    if not isinstance(record, dict):
-        raise FormatError(f"line {line_no}: baseline record must be a JSON object")
-    for key in _BASELINE_KEYS:
-        if key not in record:
-            raise FormatError(f"line {line_no}: missing key '{key}'")
-    for key in record:
-        if key not in _BASELINE_KEYS:
-            raise FormatError(f"line {line_no}: unexpected key '{key}'")
+    _check_record(record, _BASELINE_KEYS, "baseline", line_no)
     protocols = record["protocols"]
     prefixes = record["prefixes"]
     if not isinstance(protocols, list):
@@ -479,13 +491,14 @@ class ProtocolProfile:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("name must be non-empty")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string: {self.name!r}")
         _check_port(self.dst_port, "dst_port")
-        if not self.request_size > 0:
-            raise ValueError(f"request_size must be positive: {self.request_size}")
-        if not self.amplification_factor > 0:
-            raise ValueError(f"amplification_factor must be positive: {self.amplification_factor}")
-        if not isinstance(self.amplifier_count, int) or self.amplifier_count <= 0:
-            raise ValueError(f"amplifier_count must be a positive integer: {self.amplifier_count}")
+        _check_positive(self.request_size, "request_size")
+        _check_positive(self.amplification_factor, "amplification_factor")
+        count = self.amplifier_count
+        if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+            raise ValueError(f"amplifier_count must be a positive integer: {count}")
 
 
 _PROFILE_KEYS = ("name", "dst_port", "request_size", "amplification_factor", "amplifier_count")
@@ -496,24 +509,9 @@ def load_profiles(path: str) -> list[ProtocolProfile]:
     profiles = []
     for line_no, line in _nonblank_lines(path):
         record = _load_record(line, line_no, "profile")
-        if not isinstance(record, dict):
-            raise FormatError(f"line {line_no}: profile record must be a JSON object")
-        for key in _PROFILE_KEYS:
-            if key not in record:
-                raise FormatError(f"line {line_no}: missing key '{key}'")
-        for key in record:
-            if key not in _PROFILE_KEYS:
-                raise FormatError(f"line {line_no}: unexpected key '{key}'")
+        _check_record(record, _PROFILE_KEYS, "profile", line_no)
         try:
-            profiles.append(
-                ProtocolProfile(
-                    name=record["name"],
-                    dst_port=record["dst_port"],
-                    request_size=record["request_size"],
-                    amplification_factor=record["amplification_factor"],
-                    amplifier_count=record["amplifier_count"],
-                )
-            )
+            profiles.append(ProtocolProfile(**record))
         except ValueError as exc:
             raise FormatError(f"line {line_no}: {exc}") from exc
     return profiles

@@ -1,9 +1,21 @@
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
+import honeyflow.convergence
 from honeyflow.cli import OUT_ENV, main
+from honeyflow.convergence import (
+    permutation_ensemble,
+    sensor_victim_map,
+    stability_trace,
+    write_rank_statistics_csv,
+    write_stability_csv,
+)
+from honeyflow.detection import PRESETS, detect_attacks
+from honeyflow.events import load_trace
 from honeyflow.synth import (
     AttackSpec,
     CarpetSpec,
@@ -130,6 +142,61 @@ def test_converge(tmp_path, corpus_dir):
     assert len(stability) == 4  # 3 batches of 100
 
 
+def test_converge_writes_the_library_statistics(tmp_path, corpus_dir):
+    events = str(corpus_dir / "events.jsonl")
+    out = tmp_path / "out"
+    code = run_cli(
+        "converge", "--events", events, "--preset", "ccc",
+        "--n-permutations", "250", "--batch", "60", "--seed", "9", "--out", str(out),
+    )
+    assert code == 0
+    mapping = sensor_victim_map(detect_attacks(load_trace(events), PRESETS["ccc"]))
+    write_rank_statistics_csv(
+        permutation_ensemble(mapping, n_permutations=250, seed=9), str(tmp_path / "convergence.csv")
+    )
+    write_stability_csv(
+        stability_trace(mapping, batch=60, max_permutations=250, seed=9),
+        str(tmp_path / "stability.csv"),
+    )
+    for name in ("convergence.csv", "stability.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_converge_draws_one_sample(tmp_path, corpus_dir, monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == honeyflow.convergence.__name__:
+            calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    code = run_cli(
+        "converge", "--events", str(corpus_dir / "events.jsonl"), "--preset", "ccc",
+        "--n-permutations", "50", "--batch", "10", "--seed", "3", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert calls == [(3,)]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--n-permutations", "0", "--batch", "0"), "n_permutations must be >= 1: 0"),
+        (("--n-permutations", "5", "--batch", "0"), "batch must be >= 1: 0"),
+    ],
+)
+def test_converge_count_errors_exit_2(tmp_path, corpus_dir, capsys, flags, message):
+    code = run_cli(
+        "converge", "--events", str(corpus_dir / "events.jsonl"), "--preset", "ccc",
+        *flags, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 def test_overlap(tmp_path, corpus_dir):
     code = run_cli(
         "overlap", "--events", str(corpus_dir / "events.jsonl"),
@@ -169,6 +236,44 @@ def test_evade(tmp_path):
     code = run_cli("evade", "--load", "2Gbps", "--out", str(tmp_path / "fat"))
     assert code == 0
     assert manifest(tmp_path / "fat")["config"]["attack_load_bps"] == 2e9
+
+
+_PROFILE = {"name": "NTP", "dst_port": 123, "request_size": 13.0,
+            "amplification_factor": 557.0, "amplifier_count": 2_300_000}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--profiles", {"request_size": "abc"}), "line 1: request_size must be a number: 'abc'"),
+        (("--profiles", {"request_size": None}), "line 1: request_size must be a number: None"),
+        (("--profiles", {"amplifier_count": True}),
+         "line 1: amplifier_count must be a positive integer: True"),
+        (("--load", "inf"), "attack_load_bps must be finite: inf"),
+        (("--duration", "inf"), "duration_s must be finite: inf"),
+    ],
+)
+def test_evade_bad_inputs_exit_2(tmp_path, capsys, argv, message):
+    flag, value = argv
+    if flag == "--profiles":
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps({**_PROFILE, **value}) + "\n")
+        value = str(path)
+    assert run_cli("evade", flag, value, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
+    assert not (tmp_path / "out" / "evasion.csv").exists()
+
+
+def test_grid_flag_messages(capsys):
+    base = ("sweep", "--events", "x.jsonl", "--scheme", "ccc")
+    for flags, message in [
+        (("--timeouts", "1,a", "--loads", "1"), "argument --timeouts: not a comma-separated float list: '1,a'"),
+        (("--timeouts", "1", "--loads", "1.5"), "argument --loads: not a comma-separated integer list: '1.5'"),
+        (("--timeouts", " , ", "--loads", "1"), "argument --timeouts: grid must name at least one value"),
+        (("--timeouts", "1", "--loads", ","), "argument --loads: grid must name at least one value"),
+    ]:
+        assert run_cli(*base, *flags) == 1
+        assert capsys.readouterr().err.endswith(f"honeyflow sweep: error: {message}\n")
 
 
 def test_synth_and_seed_override(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from helpers import exhaustive_rank_statistics, literal_rank_statistics
 from honeyflow.convergence import (
     GREEDY_MAX_COVERAGE,
+    _coverage_shares,
+    _ensemble_and_trace,
     GREEDY_STATIC_SORT,
     EstimateUndefinedError,
     capture_recapture,
@@ -148,6 +151,59 @@ def test_ensemble_approaches_exhaustive_statistics():
     stats = permutation_ensemble(mapping, n_permutations=4000, seed=0)
     for est, ref in zip((stats.mins, stats.q1, stats.medians, stats.q3, stats.maxs), exact):
         assert np.abs(est - ref).max() < 0.05
+
+
+def test_sampler_mean_matches_exact_expected_coverage():
+    # A victim seen by d of n sensors is among the first r of a uniform random
+    # order with probability 1 - C(n - d, r) / C(n, r); summed over victims and
+    # divided by the union this is the exact per-rank mean share, checkable at
+    # n = 50 where the n! orders cannot be enumerated.
+    mapping = synth_sensor_victim_map(50, 2000, 0.165, seed=42)
+    n = len(mapping)
+    degree: dict = {}
+    for victims in mapping.values():
+        for victim in victims:
+            degree[victim] = degree.get(victim, 0) + 1
+    union = len(degree)
+    expected = np.array(
+        [
+            sum(1 - math.comb(n - d, r) / math.comb(n, r) for d in degree.values()) / union
+            for r in range(1, n + 1)
+        ]
+    )
+
+    shares, union_size = _coverage_shares(mapping, 4000, seed=0)
+    assert union_size == union and shares.shape == (4000, n)
+    stderr = shares.std(axis=0, ddof=1) / math.sqrt(len(shares))
+    deviation = np.abs(shares.mean(axis=0) - expected)
+    assert (deviation <= 5 * stderr + 1e-12).all(), float((deviation / (stderr + 1e-12)).max())
+    assert shares[:, -1].min() == 1.0
+
+
+def test_one_sample_gives_ensemble_and_trace():
+    mapping = random_map(random.Random(7))
+    stats, points = _ensemble_and_trace(mapping, n_permutations=450, batch=100, seed=4)
+    ensemble = permutation_ensemble(mapping, n_permutations=450, seed=4)
+    for field in ("mins", "q1", "medians", "q3", "maxs"):
+        np.testing.assert_array_equal(getattr(stats, field), getattr(ensemble, field))
+    assert (stats.n_permutations, stats.union_size) == (450, ensemble.union_size)
+    assert points == stability_trace(mapping, batch=100, max_permutations=450, seed=4)
+    assert [p.n_permutations for p in points] == [100, 200, 300, 400, 450]
+
+    # checks run in the order of the two calls it replaces
+    with pytest.raises(ValueError, match="^sensor map must be non-empty$"):
+        _ensemble_and_trace({}, 0, 0, 0)
+    with pytest.raises(ValueError, match="^n_permutations must be >= 1: 0$"):
+        _ensemble_and_trace(mapping, 0, 0, 0)
+    with pytest.raises(ValueError, match="^batch must be >= 1: 0$"):
+        _ensemble_and_trace(mapping, 5, 0, 0)
+
+
+def test_empty_union_shares_are_one():
+    stats = permutation_ensemble({"a": set(), "b": set()}, n_permutations=3, seed=0)
+    assert stats.union_size == 0
+    for summary in (stats.mins, stats.q1, stats.medians, stats.q3, stats.maxs):
+        np.testing.assert_array_equal(summary, [1.0, 1.0])
 
 
 def test_stability_trace_shape_and_convention():

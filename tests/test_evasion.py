@@ -30,6 +30,23 @@ def test_scenario_validation():
         EvasionScenario(profile=DNS, platform_sensor_count=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"attack_load_bps": math.inf}, "attack_load_bps must be finite: inf"),
+        ({"duration_s": math.inf}, "duration_s must be finite: inf"),
+        ({"attack_load_bps": math.nan}, "attack_load_bps must be positive: nan"),
+        ({"duration_s": 0.0}, "duration_s must be positive: 0.0"),
+        ({"duration_s": "300"}, "duration_s must be a number: '300'"),
+        ({"attack_load_bps": True}, "attack_load_bps must be a number: True"),
+    ],
+)
+def test_scenario_rejects_non_finite_and_non_numbers(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        EvasionScenario(profile=DNS, **kwargs)
+    assert str(info.value) == message
+
+
 def test_request_count_conserves_bandwidth():
     # requests * request_size * factor must equal the bytes the attack delivers
     rng = random.Random(0)

@@ -295,6 +295,77 @@ def test_profiles_round_trip_and_validation(tmp_path):
         load_profiles(str(path))
 
 
+_GOOD_PROFILE = {"name": "NTP", "dst_port": 123, "request_size": 13.0,
+                 "amplification_factor": 557.0, "amplifier_count": 2_300_000}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("name", "", "name must be non-empty"),
+        ("name", None, "name must be non-empty"),
+        ("name", 7, "name must be a string: 7"),
+        ("dst_port", "53", "dst_port must be an integer"),
+        ("dst_port", True, "dst_port must be an integer"),
+        ("dst_port", 70000, "dst_port out of range: 70000"),
+        ("request_size", "abc", "request_size must be a number: 'abc'"),
+        ("request_size", None, "request_size must be a number: None"),
+        ("request_size", True, "request_size must be a number: True"),
+        ("request_size", 0, "request_size must be positive: 0"),
+        ("request_size", "NaN", "request_size must be positive: nan"),
+        ("request_size", "Infinity", "request_size must be finite: inf"),
+        ("amplification_factor", [2], "amplification_factor must be a number: [2]"),
+        ("amplification_factor", False, "amplification_factor must be a number: False"),
+        ("amplification_factor", -1.5, "amplification_factor must be positive: -1.5"),
+        ("amplification_factor", 10**400, "amplification_factor must be finite: 1" + "0" * 400),
+        ("amplifier_count", True, "amplifier_count must be a positive integer: True"),
+        ("amplifier_count", 2.0, "amplifier_count must be a positive integer: 2.0"),
+        ("amplifier_count", "5", "amplifier_count must be a positive integer: 5"),
+        ("amplifier_count", 0, "amplifier_count must be a positive integer: 0"),
+    ],
+)
+def test_load_profiles_rejects_each_bad_field(tmp_path, field, value, message):
+    path = tmp_path / "profiles.jsonl"
+    record = json.dumps({**_GOOD_PROFILE, field: value})
+    if value in ("NaN", "Infinity"):  # JSON literals json.loads accepts
+        record = record.replace(f'"{value}"', value)
+    path.write_text(json.dumps(_GOOD_PROFILE) + "\n\n" + record + "\n")
+    with pytest.raises(FormatError) as info:
+        load_profiles(str(path))
+    assert str(info.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("event", ("ts", "sensor", "src_ip", "src_port", "dst_ip", "dst_port")),
+        ("baseline", ("start_ts", "end_ts", "protocols", "prefixes")),
+        ("profile", tuple(_GOOD_PROFILE)),
+    ],
+)
+def test_record_shape_errors_are_shared(tmp_path, kind, keys):
+    # not an object, then the first missing key in key order, then the first
+    # unexpected key in record order
+    def parse(line):
+        if kind == "event":
+            return parse_event_line(line, 4)
+        if kind == "baseline":
+            return parse_baseline_line(line, 4)
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("\n\n\n" + line + "\n")
+        return load_profiles(str(path))
+
+    for line, message in [
+        ("[1, 2]", f"{kind} record must be a JSON object"),
+        ('"text"', f"{kind} record must be a JSON object"),
+        (json.dumps({"zz": 1, keys[-1]: 0}), f"missing key '{keys[0]}'"),
+        (json.dumps({"zz": 1, "aa": 2, **{k: 0 for k in keys}}), "unexpected key 'zz'"),
+    ]:
+        with pytest.raises(FormatError) as info:
+            parse(line)
+        assert str(info.value) == f"line 4: {message}"
+
+
 # -- load_trace against the line-by-line oracle ---------------------------------
 
 _SENSORS = ("s1", "s02", "a\u2028b")  # U+2028 is a line break to str.splitlines
