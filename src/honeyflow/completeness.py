@@ -21,7 +21,9 @@ import csv
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .detection import (
     GRANULARITY_ADDRESS,
@@ -135,12 +137,77 @@ def _victim_probe(victim) -> tuple[int, int]:
     return prefix_net_mask(victim.identity)
 
 
-def _covered(probe: tuple[int, int], nets: tuple[tuple[int, int], ...]) -> bool:
-    value, vmask = probe
-    for net, bmask in nets:
-        if bmask <= vmask and value & bmask == net:
-            return True
-    return False
+class _BucketSweep:
+    """Records of one (mask, net) bucket, swept by attacks in first_ts order.
+
+    Windows are widened by the slack: a record spans [start_ts - slack_s,
+    end_ts + slack_s]. Records whose widened start precedes the current
+    attack's first_ts sit in a heap keyed by widened end; those ending
+    before first_ts are popped and can match no later attack either.
+    """
+
+    __slots__ = ("order", "starts", "ends", "next", "open")
+
+    def __init__(self, indices: list[int], starts: list[float], ends: list[float]) -> None:
+        self.order = sorted(indices, key=starts.__getitem__)
+        self.starts = [starts[i] for i in self.order]
+        self.ends = ends
+        self.next = 0
+        self.open: list[tuple[float, int]] = []
+
+    def overlapping(self, first_ts: float, last_ts: float) -> list[int]:
+        """Indices of the records whose widened window meets [first_ts, last_ts]."""
+        order, starts, heap = self.order, self.starts, self.open
+        pos = self.next
+        while pos < len(order) and starts[pos] < first_ts:
+            heappush(heap, (self.ends[order[pos]], order[pos]))
+            pos += 1
+        self.next = pos
+        while heap and heap[0][0] < first_ts:
+            heappop(heap)
+        # widened ends are never below widened starts, so the records
+        # starting inside the span end inside or after it
+        return [index for _, index in heap] + order[pos:bisect_right(starts, last_ts, pos)]
+
+
+def _overlapping_records(
+    probes: list[tuple[AttackEvent, tuple[int, int]]],
+    records: list[_CompiledBaseline],
+    slack_s: float,
+) -> Iterator[tuple[AttackEvent, set[int]]]:
+    """Each attack with the indices of the records that cover its victim in
+    prefix and overlap its span in time; ``probes`` come in first_ts order.
+
+    The time test is the closed-interval one, ``first_ts <= end_ts + slack_s``
+    and ``last_ts >= start_ts - slack_s``, with the bounds computed once.
+    """
+    starts = [cb.record.start_ts - slack_s for cb in records]
+    ends = [cb.record.end_ts + slack_s for cb in records]
+    members: dict[tuple[int, int], list[int]] = {}
+    for index, cb in enumerate(records):
+        for net, mask in cb.nets:
+            members.setdefault((mask, net), []).append(index)
+    buckets = {key: _BucketSweep(indices, starts, ends) for key, indices in members.items()}
+    masks = sorted({mask for mask, _ in buckets})
+    for attack, (value, vmask) in probes:
+        # a set: a record holding two prefixes that both cover the victim
+        # is found once
+        found: set[int] = set()
+        for mask in masks:
+            if mask > vmask:
+                break
+            bucket = buckets.get((mask, value & mask))
+            if bucket is not None:
+                found.update(bucket.overlapping(attack.first_ts, attack.last_ts))
+        yield attack, found
+
+
+def _stamp_within(stamps: list[float] | None, lo: float, hi: float) -> bool:
+    """True when the ascending ``stamps`` hold a value in [lo, hi]."""
+    if not stamps:
+        return False
+    pos = bisect_left(stamps, lo)
+    return pos < len(stamps) and stamps[pos] <= hi
 
 
 def match_baseline(
@@ -160,7 +227,7 @@ def match_baseline(
     attack ports, so rows exist for protocols only one side saw. Upper-bound
     fields stay zero here; :func:`overlap_report` fills them in.
     """
-    if slack_s < 0:
+    if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
     compiled = _compile(baseline)
 
@@ -172,31 +239,24 @@ def match_baseline(
     matched_victims_per_port: dict[int, set] = {}
     victims_per_port: dict[int, set] = {}
 
-    probes = [(a, _victim_probe(a.victim)) for a in attacks]
-    for attack, probe in probes:
+    for attack in attacks:
         for port in attack.dst_ports:
             victims_per_port.setdefault(port, set()).add(attack.victim)
-        for idx, cb in enumerate(portful):
-            if attack.first_ts > cb.record.end_ts + slack_s:
-                continue
-            if attack.last_ts < cb.record.start_ts - slack_s:
-                continue
-            common = cb.record.protocols & attack.dst_ports
-            if not common or not _covered(probe, cb.nets):
+    probes = sorted(
+        ((a, _victim_probe(a.victim)) for a in attacks), key=lambda pair: pair[0].first_ts
+    )
+    for attack, found in _overlapping_records(probes, portful, slack_s):
+        for idx in found:
+            common = portful[idx].record.protocols & attack.dst_ports
+            if not common:
                 continue
             event_ports[idx].update(common)
             victim_matched.add(attack.victim)
             for port in common:
                 matched_victims_per_port.setdefault(port, set()).add(attack.victim)
-        for idx, cb in enumerate(portless):
-            if portless_hit[idx]:
-                continue
-            if attack.first_ts > cb.record.end_ts + slack_s:
-                continue
-            if attack.last_ts < cb.record.start_ts - slack_s:
-                continue
-            if _covered(probe, cb.nets):
-                portless_hit[idx] = True
+    for _, found in _overlapping_records(probes, portless, slack_s):
+        for idx in found:
+            portless_hit[idx] = True
 
     ports = set(victims_per_port)
     for cb in portful:
@@ -244,30 +304,43 @@ def upper_bound(
     record window. This depends on packets alone, no thresholds, so it upper
     bounds any detector that derives attacks from these events.
     """
-    if slack_s < 0:
+    if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
-    ordered = sorted(events, key=lambda e: e.ts)
-    stamps = [e.ts for e in ordered]
+    compiled = _compile(baseline)
+    masks = sorted({mask for cb in compiled for _, mask in cb.nets})
+    ports = {port for cb in compiled for port in cb.record.protocols}
+    any_portless = any(cb.portless for cb in compiled)
+
+    # ascending packet stamps per (dst_port, mask, src & mask), and per
+    # (None, mask, src & mask) for the portless records
+    stamps: dict[tuple[int | None, int, int], list[float]] = {}
+    src_values: dict[str, int] = {}
+    for event in sorted(events, key=attrgetter("ts")):
+        value = src_values.get(event.src_ip)
+        if value is None:
+            value = src_values[event.src_ip] = ipv4_to_int(event.src_ip)
+        port = event.dst_port if event.dst_port in ports else None
+        for mask in masks:
+            net = value & mask
+            if port is not None:
+                stamps.setdefault((port, mask, net), []).append(event.ts)
+            if any_portless:
+                stamps.setdefault((None, mask, net), []).append(event.ts)
 
     fragment = UpperBoundFragment()
     port_hits: dict[int, int] = {}
-    for cb in _compile(baseline):
-        lo = bisect_left(stamps, cb.record.start_ts - slack_s)
-        hi = bisect_right(stamps, cb.record.end_ts + slack_s)
+    for cb in compiled:
+        lo = cb.record.start_ts - slack_s
+        hi = cb.record.end_ts + slack_s
         if cb.portless:
-            for event in ordered[lo:hi]:
-                if _covered((ipv4_to_int(event.src_ip), 0xFFFFFFFF), cb.nets):
-                    fragment.portless_covered += 1
-                    break
+            if any(_stamp_within(stamps.get((None, mask, net)), lo, hi) for net, mask in cb.nets):
+                fragment.portless_covered += 1
             continue
-        wanted = set(cb.record.protocols)
-        hit: set[int] = set()
-        for event in ordered[lo:hi]:
-            if event.dst_port in wanted and event.dst_port not in hit:
-                if _covered((ipv4_to_int(event.src_ip), 0xFFFFFFFF), cb.nets):
-                    hit.add(event.dst_port)
-                    if hit == wanted:
-                        break
+        hit = [
+            port
+            for port in cb.record.protocols
+            if any(_stamp_within(stamps.get((port, mask, net)), lo, hi) for net, mask in cb.nets)
+        ]
         if hit:
             fragment.covered_with_ports += 1
         for port in hit:

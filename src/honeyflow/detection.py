@@ -14,6 +14,7 @@ address-level attack events.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -378,17 +379,17 @@ def detect_carpet_bombing(
         if window_s is None:
             chosen = flows
         else:
-            chosen = None
-            for anchor in flows:
-                start = anchor.first_ts
-                hits = [
-                    f for f in flows
-                    if f.first_ts <= start + window_s and f.last_ts >= start
-                ]
-                if len(hits) >= min_flows:
-                    chosen = hits
+            # The window at anchor s holds the flows with first_ts <= s + window_s
+            # and last_ts >= s. A flow ending before s started before s too, so
+            # it is among the first group: the count is a difference of two bisects.
+            firsts = [f.first_ts for f in flows]
+            lasts = sorted(f.last_ts for f in flows)
+            for start in firsts:
+                end = start + window_s
+                if bisect_right(firsts, end) - bisect_left(lasts, start) >= min_flows:
+                    chosen = [f for f in flows if f.first_ts <= end and f.last_ts >= start]
                     break
-            if chosen is None:
+            else:
                 continue
         victim = Victim(f"{int_to_ipv4(net)}/{prefix_len}", GRANULARITY_PREFIX)
         carpets.append(AttackEvent.from_flows(victim, chosen))

@@ -64,6 +64,12 @@ class EvasionScenario:
             raise ValueError(
                 f"platform_sensor_count must be >= 1: {self.platform_sensor_count}"
             )
+        # each factor is finite, but their product can overflow
+        if not math.isfinite(requests_per_attack(self)):
+            raise ValueError(
+                "attack_load_bps * duration_s overflows the request count: "
+                f"attack_load_bps={self.attack_load_bps}, duration_s={self.duration_s}"
+            )
 
 
 def requests_per_attack(scenario: EvasionScenario) -> float:

@@ -7,7 +7,10 @@ being right. The assembly oracle is the stream-order, dict-of-open-flows
 assembly that :func:`honeyflow.flows.assemble` must stay equal to, flow
 order and error text included; the sweep oracle recomputes every grid cell
 with a fresh assemble + detect. The ingest oracle is the plain line-by-line
-parser and sort that :func:`honeyflow.load_trace` must stay equal to.
+parser and sort that :func:`honeyflow.load_trace` must stay equal to. The
+baseline-matching and carpet oracles are the nested loops that the prefix
+and time indexes of :mod:`honeyflow.completeness` and the bisect counts of
+:func:`honeyflow.detection.detect_carpet_bombing` replaced.
 """
 
 from __future__ import annotations
@@ -346,3 +349,186 @@ def exhaustive_rank_statistics(mapping):
         counts = np.repeat(np.array(values, dtype=float), multiplicity)
         shares_by_rank.append(counts / union_size if union_size else np.ones_like(counts))
     return _five_point(shares_by_rank)
+
+
+# -- baseline matching and carpet oracles --------------------------------------
+#
+# The nested loops the indexed engine replaced: every attack (or packet) is
+# tested against every baseline record, and every carpet anchor rescans every
+# flow of its prefix. match_baseline, upper_bound, overlap_report and
+# detect_carpet_bombing must stay equal to these.
+
+def _oracle_covered(probe, nets) -> bool:
+    value, vmask = probe
+    for net, bmask in nets:
+        if bmask <= vmask and value & bmask == net:
+            return True
+    return False
+
+
+def _oracle_compile(baseline):
+    from honeyflow.events import prefix_net_mask
+
+    return [(b, tuple(prefix_net_mask(p) for p in b.prefixes)) for b in baseline]
+
+
+def oracle_match_baseline(attacks, baseline, *, slack_s: float = 0.0):
+    from honeyflow.completeness import OverlapReport, ProtocolOverlap, VennTriple, _victim_probe
+
+    if slack_s < 0:
+        raise ValueError(f"slack_s must be >= 0: {slack_s}")
+    compiled = _oracle_compile(baseline)
+    portful = [(b, nets) for b, nets in compiled if b.protocols]
+    portless = [(b, nets) for b, nets in compiled if not b.protocols]
+    event_ports: list[set[int]] = [set() for _ in portful]
+    portless_hit = [False] * len(portless)
+    victim_matched: set = set()
+    matched_victims_per_port: dict[int, set] = {}
+    victims_per_port: dict[int, set] = {}
+
+    for attack in attacks:
+        probe = _victim_probe(attack.victim)
+        for port in attack.dst_ports:
+            victims_per_port.setdefault(port, set()).add(attack.victim)
+        for idx, (b, nets) in enumerate(portful):
+            if attack.first_ts > b.end_ts + slack_s:
+                continue
+            if attack.last_ts < b.start_ts - slack_s:
+                continue
+            common = b.protocols & attack.dst_ports
+            if not common or not _oracle_covered(probe, nets):
+                continue
+            event_ports[idx].update(common)
+            victim_matched.add(attack.victim)
+            for port in common:
+                matched_victims_per_port.setdefault(port, set()).add(attack.victim)
+        for idx, (b, nets) in enumerate(portless):
+            if portless_hit[idx]:
+                continue
+            if attack.first_ts > b.end_ts + slack_s:
+                continue
+            if attack.last_ts < b.start_ts - slack_s:
+                continue
+            if _oracle_covered(probe, nets):
+                portless_hit[idx] = True
+
+    ports = set(victims_per_port)
+    for b, _ in portful:
+        ports.update(b.protocols)
+    per_protocol = {}
+    for port in sorted(ports):
+        observed = victims_per_port.get(port, set())
+        confirmed = matched_victims_per_port.get(port, set())
+        per_protocol[port] = ProtocolOverlap(
+            baseline_total=sum(1 for b, _ in portful if port in b.protocols),
+            matched_by_detector=sum(1 for hit in event_ports if port in hit),
+            honeypot_victims=len(observed),
+            honeypot_only=len(observed - confirmed),
+        )
+    matched_events = sum(1 for hit in event_ports if hit)
+    venn = VennTriple(
+        honeypot_only=len(victims(attacks) - victim_matched),
+        overlap=len(victim_matched),
+        baseline_only=len(portful) - matched_events,
+    )
+    return OverlapReport(
+        per_protocol=per_protocol,
+        venn=venn,
+        baseline_with_ports=len(portful),
+        matched_with_ports=matched_events,
+        portless_total=len(portless),
+        portless_matched=sum(portless_hit),
+    )
+
+
+def oracle_upper_bound(events, baseline, *, slack_s: float = 0.0):
+    from bisect import bisect_left, bisect_right
+
+    from honeyflow.completeness import UpperBoundFragment
+
+    if slack_s < 0:
+        raise ValueError(f"slack_s must be >= 0: {slack_s}")
+    ordered = sorted(events, key=lambda e: e.ts)
+    stamps = [e.ts for e in ordered]
+
+    fragment = UpperBoundFragment()
+    port_hits: dict[int, int] = {}
+    for b, nets in _oracle_compile(baseline):
+        lo = bisect_left(stamps, b.start_ts - slack_s)
+        hi = bisect_right(stamps, b.end_ts + slack_s)
+        if not b.protocols:
+            for event in ordered[lo:hi]:
+                if _oracle_covered((ipv4_to_int(event.src_ip), 0xFFFFFFFF), nets):
+                    fragment.portless_covered += 1
+                    break
+            continue
+        wanted = set(b.protocols)
+        hit: set[int] = set()
+        for event in ordered[lo:hi]:
+            if event.dst_port in wanted and event.dst_port not in hit:
+                if _oracle_covered((ipv4_to_int(event.src_ip), 0xFFFFFFFF), nets):
+                    hit.add(event.dst_port)
+                    if hit == wanted:
+                        break
+        if hit:
+            fragment.covered_with_ports += 1
+        for port in hit:
+            port_hits[port] = port_hits.get(port, 0) + 1
+    fragment.per_protocol = port_hits
+    return fragment
+
+
+def oracle_overlap_report(attacks, events, baseline, *, slack_s: float = 0.0):
+    from honeyflow.completeness import ProtocolOverlap
+
+    report = oracle_match_baseline(attacks, baseline, slack_s=slack_s)
+    fragment = oracle_upper_bound(events, baseline, slack_s=slack_s)
+    for port, count in fragment.per_protocol.items():
+        report.per_protocol.setdefault(port, ProtocolOverlap()).matched_upper_bound = count
+    report.upper_with_ports = fragment.covered_with_ports
+    report.portless_upper = fragment.portless_covered
+    return report
+
+
+def oracle_detect_carpet_bombing(attacks, prefix_len: int = 24, min_flows: int = 16,
+                                 window_s: float | None = 900.0):
+    """Every anchor rescans every flow of its prefix."""
+    from honeyflow.detection import GRANULARITY_ADDRESS, GRANULARITY_PREFIX, AttackEvent, Victim
+    from honeyflow.events import int_to_ipv4
+
+    if not 0 <= prefix_len <= 32:
+        raise ValueError(f"prefix_len out of range: {prefix_len}")
+    if min_flows < 1:
+        raise ValueError(f"min_flows must be >= 1: {min_flows}")
+    if window_s is not None and not window_s > 0:
+        raise ValueError(f"window_s must be positive or None: {window_s}")
+
+    mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
+    by_prefix: dict[int, list[Flow]] = {}
+    for event in attacks:
+        if event.victim.granularity != GRANULARITY_ADDRESS:
+            continue
+        net = ipv4_to_int(event.victim.identity) & mask
+        by_prefix.setdefault(net, []).extend(event.flows)
+
+    carpets = []
+    for net in sorted(by_prefix):
+        flows = sorted(by_prefix[net], key=lambda f: (f.first_ts, f.key.sort_key()))
+        if len(flows) < min_flows:
+            continue
+        if window_s is None:
+            chosen = flows
+        else:
+            chosen = None
+            for anchor in flows:
+                start = anchor.first_ts
+                hits = [f for f in flows if f.first_ts <= start + window_s and f.last_ts >= start]
+                if len(hits) >= min_flows:
+                    chosen = hits
+                    break
+            if chosen is None:
+                continue
+        victim = Victim(f"{int_to_ipv4(net)}/{prefix_len}", GRANULARITY_PREFIX)
+        carpets.append(AttackEvent.from_flows(victim, chosen))
+    carpets.sort(key=lambda e: (e.first_ts, e.victim.identity, e.flows[0].key.sort_key()))
+    return carpets

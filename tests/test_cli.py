@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import honeyflow.convergence
+from helpers import oracle_overlap_report
 from honeyflow.cli import OUT_ENV, main
+from honeyflow.completeness import report_to_dict
 from honeyflow.convergence import (
     permutation_ensemble,
     sensor_victim_map,
@@ -15,7 +19,7 @@ from honeyflow.convergence import (
     write_stability_csv,
 )
 from honeyflow.detection import PRESETS, detect_attacks
-from honeyflow.events import load_trace
+from honeyflow.events import load_baseline, load_trace
 from honeyflow.synth import (
     AttackSpec,
     CarpetSpec,
@@ -213,6 +217,21 @@ def test_overlap(tmp_path, corpus_dir):
     assert venn[0] == "set,count"
 
 
+def test_python_m_overlap_equals_oracle(tmp_path, corpus_dir):
+    events_path, baseline_path = corpus_dir / "events.jsonl", corpus_dir / "baseline.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "honeyflow", "overlap", "--events", str(events_path),
+         "--baseline", str(baseline_path), "--preset", "ccc", "--slack", "30", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    events = load_trace(str(events_path))
+    attacks = detect_attacks(events, PRESETS["ccc"])
+    oracle = oracle_overlap_report(attacks, events, load_baseline(str(baseline_path)), slack_s=30.0)
+    assert json.loads((tmp_path / "overlap.json").read_text()) == report_to_dict(oracle)
+
+
 def test_scanners(tmp_path, corpus_dir):
     code = run_cli(
         "scanners", "--events", str(corpus_dir / "events.jsonl"),
@@ -262,6 +281,16 @@ def test_evade_bad_inputs_exit_2(tmp_path, capsys, argv, message):
     assert run_cli("evade", flag, value, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
     assert not (tmp_path / "out" / "evasion.csv").exists()
+
+
+def test_evade_request_overflow_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("evade", "--load", "1e200Gbps", "--duration", "1e150", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "honeyflow: error: attack_load_bps * duration_s overflows the request count: "
+        "attack_load_bps=9.999999999999999e+208, duration_s=1e+150\n"
+    )
+    assert not (out / "evasion.csv").exists()
 
 
 def test_grid_flag_messages(capsys):

@@ -1,7 +1,13 @@
 import json
+import math
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_match_baseline, oracle_overlap_report, oracle_upper_bound
 from honeyflow import BaselineAttack, PacketEvent, ScannerList, trace_sort_key
 from honeyflow.completeness import (
     CLASS_ATTACK,
@@ -17,7 +23,15 @@ from honeyflow.completeness import (
     write_source_classes_csv,
     write_venn_csv,
 )
-from honeyflow.detection import PRESETS, detect_attacks
+from honeyflow.detection import (
+    GRANULARITY_ADDRESS,
+    GRANULARITY_PREFIX,
+    PRESETS,
+    AttackEvent,
+    Victim,
+    detect_attacks,
+)
+from honeyflow.events import int_to_ipv4
 from honeyflow.synth import AttackSpec, ScanSpec, ScenarioSpec, synth
 
 
@@ -59,8 +73,10 @@ def test_match_window_is_closed_and_slack_widens():
     near = record(119.0, 300.0, {123}, {"203.0.113.0/24"})
     assert match_baseline(attacks, [near]).matched_with_ports == 0
     assert match_baseline(attacks, [near], slack_s=10.0).matched_with_ports == 1
-    with pytest.raises(ValueError):
-        match_baseline(attacks, [near], slack_s=-1.0)
+    for bad in (-1.0, math.nan):
+        for fn, inputs in ((match_baseline, attacks), (upper_bound, [])):
+            with pytest.raises(ValueError, match=f"^slack_s must be >= 0: {bad}$"):
+                fn(inputs, [near], slack_s=bad)
 
 
 def test_prefix_victims_match_by_containment():
@@ -257,3 +273,169 @@ def test_source_csvs(tmp_path):
     assert lines[1] == "attack,0,0.0"
     assert lines[2] == "scan-only,1,0.5"
     assert lines[3] == "unseen,1,0.5"
+
+
+# -- indexed matching against the nested-loop oracles --------------------------
+
+# nested at /0, /8, /16, /24, /30 and /32; two /24s and two /16s side by side
+_RECORD_PREFIXES = (
+    "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16", "10.0.0.0/24",
+    "10.0.1.0/24", "10.0.0.0/30", "10.0.0.1/32", "192.0.2.0/24",
+)
+_ADDRESSES = ("10.0.0.1", "10.0.0.2", "10.0.0.9", "10.0.1.1", "10.1.0.1", "192.0.2.7", "0.0.0.0")
+# shorter and longer than the record prefixes they fall in
+_VICTIM_PREFIXES = ("10.0.0.0/24", "10.0.0.0/16", "10.0.0.0/31", "10.0.1.0/28", "0.0.0.0/0")
+_PORTS = (53, 123, 389)
+
+
+def _span():
+    """Closed spans on a half-second grid: windows touch, nest and shrink to points."""
+    return st.tuples(st.integers(0, 16), st.integers(0, 6)).map(
+        lambda t: (t[0] * 0.5, (t[0] + t[1]) * 0.5)
+    )
+
+
+@st.composite
+def _attacks(draw):
+    attacks = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            victim = Victim(draw(st.sampled_from(_ADDRESSES)), GRANULARITY_ADDRESS)
+        else:
+            victim = Victim(draw(st.sampled_from(_VICTIM_PREFIXES)), GRANULARITY_PREFIX)
+        first, last = draw(_span())
+        ports = draw(st.frozensets(st.sampled_from(_PORTS), min_size=1))
+        attacks.append(AttackEvent(victim, (), first, last, 1, frozenset({"s1"}), ports))
+    return attacks
+
+
+@st.composite
+def _baseline(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        start, end = draw(_span())
+        protocols = draw(st.frozensets(st.sampled_from(_PORTS)))  # empty: portless
+        prefixes = draw(st.frozensets(st.sampled_from(_RECORD_PREFIXES), min_size=1, max_size=2))
+        records.append(BaselineAttack(start, end, protocols, prefixes))
+    return records
+
+
+@st.composite
+def _packets(draw):
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 22), st.sampled_from(_ADDRESSES), st.sampled_from(_PORTS)),
+        max_size=30,
+    ))
+    return [PacketEvent(tick * 0.5, "s1", src, 50000, "192.0.2.1", port) for tick, src, port in rows]
+
+
+_SLACKS = st.sampled_from((0.0, 0.5, 1.25, 5.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(attacks=_attacks(), baseline=_baseline(), slack=_SLACKS)
+def test_match_baseline_equals_oracle(attacks, baseline, slack):
+    assert report_to_dict(match_baseline(attacks, baseline, slack_s=slack)) == report_to_dict(
+        oracle_match_baseline(attacks, baseline, slack_s=slack)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(events=_packets(), baseline=_baseline(), slack=_SLACKS)
+def test_upper_bound_equals_oracle(events, baseline, slack):
+    assert upper_bound(events, baseline, slack_s=slack) == oracle_upper_bound(
+        events, baseline, slack_s=slack
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(attacks=_attacks(), events=_packets(), baseline=_baseline(), slack=_SLACKS)
+def test_overlap_report_equals_oracle(attacks, events, baseline, slack):
+    assert report_to_dict(overlap_report(attacks, events, baseline, slack_s=slack)) == report_to_dict(
+        oracle_overlap_report(attacks, events, baseline, slack_s=slack)
+    )
+
+
+def _attack(victim, first, last, ports=(123,)):
+    granularity = GRANULARITY_PREFIX if "/" in victim else GRANULARITY_ADDRESS
+    return AttackEvent(Victim(victim, granularity), (), first, last, 1,
+                       frozenset({"s1"}), frozenset(ports))
+
+
+def test_one_attack_many_records_and_many_attacks_one_record():
+    wide = _attack("10.0.0.1", 0.0, 100.0)
+    records = [record(float(i), float(i), {123}, {"10.0.0.0/24", "10.0.0.0/16"}) for i in range(101)]
+    report = match_baseline([wide], records)
+    assert report.matched_with_ports == 101
+    assert (report.venn.honeypot_only, report.venn.overlap, report.venn.baseline_only) == (0, 1, 0)
+    assert report_to_dict(report) == report_to_dict(oracle_match_baseline([wide], records))
+
+    narrow = [_attack(f"10.0.0.{i + 1}", float(i), float(i)) for i in range(101)]
+    one = [record(0.0, 100.0, {123}, {"10.0.0.0/24"})]
+    report = match_baseline(narrow, one)
+    assert report.matched_with_ports == 1
+    assert (report.venn.honeypot_only, report.venn.overlap, report.venn.baseline_only) == (0, 101, 0)
+    assert report_to_dict(report) == report_to_dict(oracle_match_baseline(narrow, one))
+
+
+# -- scale: 10^5 attacks (or packets) x 10^5 records ---------------------------
+#
+# Record i and attack (or packet) i share a window that no other index's
+# window meets, so every match count follows from the pairing alone. Each
+# call must stay under a bound about 30x what the indexed matcher takes.
+
+_SCALE = 100_000
+_SCALE_BOUND_S = 30.0
+
+
+def _timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    elapsed = time.perf_counter() - start
+    assert elapsed < _SCALE_BOUND_S, f"{fn.__name__} took {elapsed:.1f} s"
+    return result
+
+
+def test_match_baseline_scale_spread_over_random_prefixes():
+    nets = random.Random(5).sample(range(1 << 24), _SCALE)  # distinct /24s
+    records = [
+        record(10.0 * i, 10.0 * i + 5.0, {123}, {f"{int_to_ipv4(net << 8)}/24"})
+        for i, net in enumerate(nets)
+    ]
+    # even attacks hit their record's port, odd ones miss it
+    attacks = [
+        _attack(int_to_ipv4((net << 8) | 7), 10.0 * i + 1.0, 10.0 * i + 2.0, (123 if i % 2 == 0 else 53,))
+        for i, net in enumerate(nets)
+    ]
+    report = _timed(match_baseline, attacks, records)
+    half = _SCALE // 2
+    assert report.matched_with_ports == half
+    assert (report.venn.honeypot_only, report.venn.overlap, report.venn.baseline_only) == (half, half, half)
+    assert report.per_protocol[123].matched_by_detector == half
+    assert report.per_protocol[53].honeypot_only == half
+
+
+def test_match_baseline_scale_one_prefix_consecutive_windows():
+    records = [record(2.0 * i, 2.0 * i + 1.0, {123}, {"203.0.113.0/24"}) for i in range(_SCALE)]
+    attacks = [
+        _attack(f"203.0.113.{i % 254 + 1}", 2.0 * i + 0.25, 2.0 * i + 0.5) for i in range(_SCALE)
+    ]
+    report = _timed(match_baseline, attacks, records)
+    assert report.matched_with_ports == _SCALE
+    assert (report.venn.honeypot_only, report.venn.overlap, report.venn.baseline_only) == (0, 254, 0)
+
+
+def test_upper_bound_scale():
+    nets = random.Random(6).sample(range(1 << 24), _SCALE)
+    records = [
+        record(10.0 * i, 10.0 * i + 5.0, {123}, {f"{int_to_ipv4(net << 8)}/24"})
+        for i, net in enumerate(nets)
+    ]
+    events = [
+        PacketEvent(10.0 * i + 1.0, "s1", int_to_ipv4((net << 8) | 7), 50000, "192.0.2.1",
+                    123 if i % 2 == 0 else 53)
+        for i, net in enumerate(nets)
+    ]
+    fragment = _timed(upper_bound, events, records)
+    assert fragment.covered_with_ports == _SCALE // 2
+    assert fragment.per_protocol == {123: _SCALE // 2}

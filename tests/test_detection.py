@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_detect_carpet_bombing
 from honeyflow import PacketEvent, trace_sort_key
 from honeyflow.detection import (
     COMPARE_AT_LEAST,
@@ -9,6 +12,7 @@ from honeyflow.detection import (
     GRANULARITY_ADDRESS,
     GRANULARITY_PREFIX,
     PRESETS,
+    AttackEvent,
     AttackThresholds,
     ConfigurationError,
     Victim,
@@ -19,7 +23,7 @@ from honeyflow.detection import (
     victims,
     write_attack_report,
 )
-from honeyflow.flows import PER_PLATFORM, PER_SENSOR, FlowScheme, assemble
+from honeyflow.flows import PER_PLATFORM, PER_SENSOR, Flow, FlowKey, FlowScheme, assemble
 from honeyflow.synth import AttackSpec, ScenarioSpec, synth
 
 
@@ -302,6 +306,45 @@ def test_carpet_parameter_validation():
         detect_carpet_bombing([], min_flows=0)
     with pytest.raises(ValueError):
         detect_carpet_bombing([], window_s=0.0)
+
+
+_CARPET_VICTIMS = ("203.0.113.1", "203.0.113.2", "203.0.113.77", "203.0.114.1", "203.0.113.0/24")
+
+
+@st.composite
+def _carpet_attacks(draw):
+    """Flows on an integer grid: equal first_ts, flows ending exactly at an
+    anchor and flows starting exactly at anchor + window_s all occur."""
+    attacks = []
+    for a in range(draw(st.integers(0, 10))):
+        identity = draw(st.sampled_from(_CARPET_VICTIMS))
+        flows = []
+        for f in range(draw(st.integers(1, 3))):
+            first = draw(st.integers(0, 12))
+            span = draw(st.integers(0, 4))
+            sensor = f"s{a}.{f}"
+            key = FlowKey(sensor, "198.51.100.7", identity, None, 123)
+            stamps = sorted({first, first + span})
+            flows.append(Flow(key, tuple(
+                PacketEvent(float(t), sensor, "198.51.100.7", 50000, identity.partition("/")[0], 123)
+                for t in stamps
+            )))
+        granularity = GRANULARITY_PREFIX if "/" in identity else GRANULARITY_ADDRESS
+        attacks.append(AttackEvent.from_flows(Victim(identity, granularity), flows))
+    return attacks
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    attacks=_carpet_attacks(),
+    prefix_len=st.sampled_from((24, 30, 0)),
+    min_flows=st.integers(1, 6),
+    window_s=st.sampled_from((None, 0.5, 1.0, 2.0, 3.0)),
+)
+def test_carpet_bombing_equals_rescan_oracle(attacks, prefix_len, min_flows, window_s):
+    assert detect_carpet_bombing(attacks, prefix_len, min_flows, window_s) == oracle_detect_carpet_bombing(
+        attacks, prefix_len, min_flows, window_s
+    )
 
 
 def test_detect_attacks_on_synthetic_scenario():

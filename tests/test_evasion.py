@@ -39,6 +39,10 @@ def test_scenario_validation():
         ({"duration_s": 0.0}, "duration_s must be positive: 0.0"),
         ({"duration_s": "300"}, "duration_s must be a number: '300'"),
         ({"attack_load_bps": True}, "attack_load_bps must be a number: True"),
+        # each finite, but load / 8 * duration overflows
+        ({"attack_load_bps": 1e209, "duration_s": 1e150},
+         "attack_load_bps * duration_s overflows the request count: "
+         "attack_load_bps=1e+209, duration_s=1e+150"),
     ],
 )
 def test_scenario_rejects_non_finite_and_non_numbers(kwargs, message):
