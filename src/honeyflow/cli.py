@@ -39,14 +39,14 @@ from .convergence import (
 from .detection import (
     PRESETS,
     AttackThresholds,
-    detect,
+    DetectionPreset,
+    detect_attacks,
     detect_carpet_bombing,
     victims,
     write_attack_report,
 )
 from .evasion import BUILTIN_PROFILES, evasion_rows, write_evasion_csv
 from .events import load_baseline, load_profiles, load_scanner_list, load_trace, open_artifact
-from .flows import assemble
 from .sweep import sweep, write_heatmap_csv
 from .synth import spec_from_dict, spec_to_dict, synth, write_corpus
 
@@ -121,8 +121,8 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--comparison", choices=[">=", ">"], default=None, help="packet-load comparison")
 
 
-def _resolve_detector(parser: _Parser, args) -> tuple[str, object, AttackThresholds, dict]:
-    """Returns (name, scheme, thresholds, config-echo)."""
+def _resolve_detector(parser: _Parser, args) -> tuple[DetectionPreset, dict]:
+    """Returns (detector, config-echo)."""
     custom_flags = [
         args.scheme,
         args.idle_timeout,
@@ -163,7 +163,7 @@ def _resolve_detector(parser: _Parser, args) -> tuple[str, object, AttackThresho
         "scheme": asdict(scheme),
         "thresholds": asdict(thresholds),
     }
-    return name, scheme, thresholds, config
+    return DetectionPreset(name, scheme, thresholds), config
 
 
 def _csv_list(convert, noun: str, text: str) -> list:
@@ -200,18 +200,18 @@ def _bitrate(text: str) -> float:
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_detect(parser: _Parser, args) -> int:
-    name, scheme, thresholds, config = _resolve_detector(parser, args)
+    detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
     events = load_trace(args.events)
-    attacks = detect(assemble(events, scheme, thresholds.idle_timeout), thresholds)
+    attacks = detect_attacks(events, detector)
     if args.carpet:
         attacks = attacks + detect_carpet_bombing(
             attacks,
             prefix_len=args.carpet_prefix_len,
             min_flows=args.carpet_min_flows,
-            window_s=thresholds.idle_timeout,
+            window_s=detector.thresholds.idle_timeout,
         )
-    write_attack_report(attacks, name, os.path.join(out, "attacks.jsonl"))
+    write_attack_report(attacks, detector.name, os.path.join(out, "attacks.jsonl"))
     with open_artifact(os.path.join(out, "victims.csv")) as handle:
         handle.write("victim,granularity\n")
         for victim in sorted(victims(attacks), key=lambda v: v.sort_key()):
@@ -256,10 +256,10 @@ def _cmd_sweep(parser: _Parser, args) -> int:
 
 
 def _cmd_converge(parser: _Parser, args) -> int:
-    name, scheme, thresholds, config = _resolve_detector(parser, args)
+    detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
     events = load_trace(args.events)
-    attacks = detect(assemble(events, scheme, thresholds.idle_timeout), thresholds)
+    attacks = detect_attacks(events, detector)
     mapping = sensor_victim_map(attacks)
     curve = greedy_order(mapping, strategy=args.strategy)
     stats, trace = _ensemble_and_trace(mapping, args.n_permutations, args.batch, args.seed)
@@ -280,11 +280,11 @@ def _cmd_converge(parser: _Parser, args) -> int:
 
 
 def _cmd_overlap(parser: _Parser, args) -> int:
-    name, scheme, thresholds, config = _resolve_detector(parser, args)
+    detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
     events = load_trace(args.events)
     baseline = load_baseline(args.baseline)
-    attacks = detect(assemble(events, scheme, thresholds.idle_timeout), thresholds)
+    attacks = detect_attacks(events, detector)
     report = overlap_report(attacks, events, baseline, slack_s=args.slack)
     write_overlap_json(report, os.path.join(out, "overlap.json"))
     write_venn_csv(report, os.path.join(out, "venn.csv"))
@@ -294,11 +294,11 @@ def _cmd_overlap(parser: _Parser, args) -> int:
 
 
 def _cmd_scanners(parser: _Parser, args) -> int:
-    name, scheme, thresholds, config = _resolve_detector(parser, args)
+    detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
     events = load_trace(args.events)
     scanners = load_scanner_list(args.scanners)
-    classification = classify_sources(scanners, events, scheme, thresholds)
+    classification = classify_sources(scanners, events, detector.scheme, detector.thresholds)
     write_source_classes_csv(classification, os.path.join(out, "sources.csv"))
     write_class_shares_csv(classification, os.path.join(out, "shares.csv"))
     config.update({"events": args.events, "scanners": args.scanners})

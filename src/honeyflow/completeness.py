@@ -29,11 +29,12 @@ from .detection import (
     GRANULARITY_ADDRESS,
     AttackEvent,
     AttackThresholds,
-    detect,
+    DetectionPreset,
+    detect_attacks,
     victims,
 )
 from .events import BaselineAttack, PacketEvent, ScannerList, ipv4_to_int, open_artifact, prefix_net_mask
-from .flows import FlowScheme, assemble
+from .flows import FlowScheme
 
 __all__ = [
     "CLASS_ATTACK",
@@ -446,7 +447,7 @@ def classify_sources(
         if event.src_ip in packet_counts:
             packet_counts[event.src_ip] += 1
 
-    attacks = detect(assemble(stream, scheme, thresholds.idle_timeout), thresholds)
+    attacks = detect_attacks(stream, DetectionPreset(thresholds.name, scheme, thresholds))
     event_counts = {source: 0 for source in listed}
     for attack in attacks:
         sources = {p.src_ip for f in attack.flows for p in f.packets}

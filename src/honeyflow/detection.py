@@ -9,6 +9,11 @@ Victims are reported at the granularity the scheme implies: address-keyed
 schemes yield address victims, prefix-keyed schemes yield /len prefix
 victims, and carpet-bombing aggregation yields prefix victims built from
 address-level attack events.
+
+One threshold rule on per-flow arrays decides for :func:`detect`,
+:func:`detect_attacks` and :func:`honeyflow.sweep.sweep` alike;
+:func:`detect_attacks` builds Flow and AttackEvent objects only for the
+flows that attack.
 """
 
 from __future__ import annotations
@@ -17,10 +22,13 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .events import PacketEvent, int_to_ipv4, ipv4_to_int, open_artifact
-from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowKey, FlowScheme, assemble
+from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _rank_codes
 
 __all__ = [
     "COMPARE_AT_LEAST",
@@ -247,24 +255,143 @@ def _check_port_condition(thresholds: AttackThresholds, dst_port_keyed: bool) ->
         )
 
 
-def _window_cluster_starts(groups: Sequence, first_ts: Sequence[float], last_ts: Sequence[float]) -> list[int]:
-    """Where each overlap cluster begins among flows ordered by (group, first_ts, key).
+class _FlowColumns(NamedTuple):
+    """One timeout's flows as the threshold rule reads them, one entry per flow.
 
-    A flow joins the open cluster of its group while it starts no later
-    than the cluster's window end, the earliest last_ts of its members, so
-    every member of a cluster overlaps every other. Any other flow opens a
-    new cluster. :func:`detect` and :func:`honeyflow.sweep.sweep` both
-    cluster with this rule.
+    ``group`` codes each flow's key without its sensor fields when per-sensor
+    flows are clustered, else it is None. ``distinct(attr)`` gives the (flow,
+    value code) pairs of the distinct sensors or dst ports in each flow.
     """
-    starts: list[int] = []
-    group = window_end = None
-    for index, (flow_group, first, last) in enumerate(zip(groups, first_ts, last_ts)):
-        if flow_group != group or first > window_end:
-            starts.append(index)
-            group, window_end = flow_group, last
-        elif last < window_end:
-            window_end = last
-    return starts
+
+    sizes: np.ndarray
+    first_ts: np.ndarray
+    last_ts: np.ndarray
+    group: np.ndarray | None
+    dst_port_keyed: bool
+    distinct: Callable[[str], tuple[np.ndarray, np.ndarray]]
+
+
+def _distinct_pairs(bins: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (bin, value) pairs of two arrays of non-negative codes."""
+    width = int(values.max()) + 1 if len(values) else 1
+    pairs = np.sort(bins * width + values)
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return pairs[first] // width, pairs[first] % width
+
+
+def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds) -> _FlowColumns:
+    """The flows beginning at ``starts`` of a keyed split, one timeout's worth."""
+    stops = np.append(starts[1:], len(split.ts))
+    sizes = stops - starts
+    group = None
+    if thresholds.min_sensors > 1 and split.scheme.scope == PER_SENSOR:
+        # the key codes but sensor and dst address in mixed radix (< 2**63 for
+        # any trace with fewer than 2**31 sources: at most 2**16 codes per port)
+        group = np.zeros(len(starts), dtype=np.int64)
+        for attr in split.key_attrs:
+            if attr not in ("sensor", "dst_ip"):
+                group = group * len(split.labels(attr)) + split.codes(attr)[starts]
+
+    def distinct(attr: str) -> tuple[np.ndarray, np.ndarray]:
+        if attr in split.key_attrs:  # one value per flow
+            return np.arange(len(starts)), split.codes(attr)[starts]
+        return _distinct_pairs(np.repeat(np.arange(len(starts)), sizes), split.codes(attr))
+
+    return _FlowColumns(sizes, split.ts[starts], split.ts[stops - 1], group, split.scheme.use_dst_port, distinct)
+
+
+def _flow_columns(flows: Sequence[Flow], thresholds: AttackThresholds) -> _FlowColumns:
+    """Assembled flows as the threshold rule reads them."""
+    packets = list(map(attrgetter("packets"), flows))
+    sizes = np.fromiter(map(len, packets), np.int64, len(flows))
+    group = None
+    if thresholds.min_sensors > 1 and flows[0].key.sensor is not None:
+        group = np.zeros(len(flows), dtype=np.int64)
+        for field in ("src", "src_port", "dst_port"):
+            codes, labels = _rank_codes([getattr(f.key, field) for f in flows])
+            group = group * len(labels) + codes
+
+    def distinct(attr: str) -> tuple[np.ndarray, np.ndarray]:
+        codes = _rank_codes([getattr(packet, attr) for run in packets for packet in run])[0]
+        return _distinct_pairs(np.repeat(np.arange(len(flows)), sizes), codes)
+
+    return _FlowColumns(
+        sizes,
+        np.fromiter(map(attrgetter("ts"), map(itemgetter(0), packets)), np.float64, len(flows)),
+        np.fromiter(map(attrgetter("ts"), map(itemgetter(-1), packets)), np.float64, len(flows)),
+        group,
+        flows[0].key.dst_port is not None,
+        distinct,
+    )
+
+
+def _attack_runs(
+    columns: _FlowColumns, cells: Sequence[AttackThresholds]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rule :func:`detect` describes, for cells that share every condition but the load.
+
+    Returns, per cell, ``(members, heads)``: the indices of the flows in
+    attacking clusters, cluster by cluster, and where each cluster begins
+    among ``members``. Clustered flows are taken by (group, first_ts, index).
+    """
+    shared = cells[0]
+    _check_port_condition(shared, columns.dst_port_keyed)
+    n = len(columns.sizes)
+    spans = [
+        (*columns.distinct(attr), least)
+        for attr, least in (("dst_port", shared.min_dst_ports), ("sensor", shared.min_sensors))
+        if least > 1
+    ]
+    if columns.group is None:
+        # a flow alone is its cluster, and its ports and sensors do not depend on the load
+        eligible = np.ones(n, dtype=bool)
+        for flow, _, least in spans:
+            eligible &= np.bincount(flow, minlength=n) >= least
+        order = np.flatnonzero(eligible)
+    else:
+        order = np.lexsort((columns.first_ts, columns.group))
+    sizes = columns.sizes[order]
+    runs = []
+    for cell in cells:
+        members = order[cell.passes_load(sizes)]
+        if columns.group is None:
+            runs.append((members, np.arange(len(members))))
+            continue
+        heads = []
+        group = window_end = None
+        members_at = zip(columns.group[members].tolist(), columns.first_ts[members].tolist(),
+                         columns.last_ts[members].tolist())
+        for index, (flow_group, first, last) in enumerate(members_at):
+            if flow_group != group or first > window_end:
+                heads.append(index)
+                group, window_end = flow_group, last
+            elif last < window_end:
+                window_end = last
+        head = np.zeros(len(members), dtype=bool)
+        head[heads] = True
+        cluster = np.cumsum(head) - 1
+        cluster_of_flow = np.full(n, -1)
+        cluster_of_flow[members] = cluster
+        attacks = np.ones(len(members), dtype=bool)
+        for flow, code, least in spans:
+            bins = cluster_of_flow[flow]
+            kept = bins >= 0
+            spread = np.bincount(_distinct_pairs(bins[kept], code[kept])[0], minlength=len(members))
+            attacks &= spread[cluster] >= least
+        runs.append((members[attacks], np.flatnonzero(head[attacks])))
+    return runs
+
+
+def _attack_events(members: list[Flow], heads: np.ndarray) -> list[AttackEvent]:
+    """One attack event per cluster of ``members`` beginning at ``heads``, sorted by (first_ts, victim)."""
+    bounds = heads.tolist() + [len(members)]
+    events = [
+        AttackEvent.from_flows(_victim_of_key_src(members[a].key.src), members[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    events.sort(key=_event_sort_key)
+    return events
 
 
 def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEvent]:
@@ -284,45 +411,14 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
     flows see exactly one port each, so the combination is rejected as a
     configuration error instead of silently detecting nothing.
 
-    Events come back sorted by (first_ts, victim).
+    :func:`detect_attacks` and :func:`honeyflow.sweep.sweep` decide with
+    the same rule on a keyed split of the trace. Events come back sorted by
+    (first_ts, victim).
     """
     if not flows:
         return []
-    sample_key = flows[0].key
-    _check_port_condition(thresholds, sample_key.dst_port is not None)
-
-    events: list[AttackEvent] = []
-    if thresholds.min_sensors == 1 or sample_key.sensor is None:
-        for flow in flows:
-            if not thresholds.passes_load(flow.packet_count):
-                continue
-            if thresholds.min_dst_ports > 1 and len(flow.dst_ports) < thresholds.min_dst_ports:
-                continue
-            if thresholds.min_sensors > 1 and len(flow.sensors) < thresholds.min_sensors:
-                continue
-            events.append(AttackEvent.from_flows(_victim_of_key_src(flow.key.src), (flow,)))
-    else:
-        groups: dict[FlowKey, list[Flow]] = {}
-        for flow in flows:
-            if thresholds.passes_load(flow.packet_count):
-                groups.setdefault(flow.key.without_sensor(), []).append(flow)
-        members: list[Flow] = []
-        labels: list[int] = []
-        for label, group_key in enumerate(sorted(groups, key=FlowKey.sort_key)):
-            members += sorted(groups[group_key], key=lambda f: (f.first_ts, f.key.sort_key()))
-            labels += [label] * len(groups[group_key])
-        starts = _window_cluster_starts(
-            labels, [f.first_ts for f in members], [f.last_ts for f in members]
-        )
-        for start, stop in zip(starts, starts[1:] + [len(members)]):
-            cluster = members[start:stop]
-            distinct = {s for f in cluster for s in f.sensors}
-            ports = {p for f in cluster for p in f.dst_ports}
-            if len(distinct) >= thresholds.min_sensors and len(ports) >= thresholds.min_dst_ports:
-                events.append(AttackEvent.from_flows(_victim_of_key_src(cluster[0].key.src), cluster))
-
-    events.sort(key=_event_sort_key)
-    return events
+    ((members, heads),) = _attack_runs(_flow_columns(flows, thresholds), [thresholds])
+    return _attack_events([flows[i] for i in members.tolist()], heads)
 
 
 def detect_attacks(
@@ -330,9 +426,21 @@ def detect_attacks(
     preset: DetectionPreset,
     thresholds: AttackThresholds | None = None,
 ) -> list[AttackEvent]:
-    """Assemble with the preset's scheme and detect; ``thresholds`` overrides the preset's."""
+    """Assemble with the preset's scheme and detect; ``thresholds`` overrides the preset's.
+
+    Equal to :func:`detect` on :func:`honeyflow.flows.assemble`, errors
+    included, but the trace is keyed once and only the flows of attacking
+    clusters are built.
+    """
     active = thresholds if thresholds is not None else preset.thresholds
-    return detect(assemble(events, preset.scheme, active.idle_timeout), active)
+    split = _KeyedSplit(list(events), preset.scheme)
+    starts = split.flow_starts(active.idle_timeout)
+    if not len(starts):
+        return []
+    columns = _split_columns(split, starts, active)
+    ((members, heads),) = _attack_runs(columns, [active])
+    first = starts[members]
+    return _attack_events(split.flows(first, first + columns.sizes[members]), heads)
 
 
 def victims(attacks: Iterable[AttackEvent]) -> set[Victim]:

@@ -64,7 +64,13 @@ class EvasionScenario:
             raise ValueError(
                 f"platform_sensor_count must be >= 1: {self.platform_sensor_count}"
             )
-        # each factor is finite, but their product can overflow
+        # each factor is positive and finite, but a product can underflow or overflow
+        if not self.profile.request_size * self.profile.amplification_factor > 0:
+            raise ValueError(
+                "request_size * amplification_factor underflows to zero: "
+                f"request_size={self.profile.request_size}, "
+                f"amplification_factor={self.profile.amplification_factor}"
+            )
         if not math.isfinite(requests_per_attack(self)):
             raise ValueError(
                 "attack_load_bps * duration_s overflows the request count: "

@@ -29,7 +29,6 @@ __all__ = [
     "FlowKey",
     "Flow",
     "flow_key",
-    "key_function",
     "assemble",
 ]
 
@@ -114,47 +113,9 @@ def _src_label(scheme: FlowScheme) -> Callable[[str], str] | None:
     return lambda addr: f"{int_to_ipv4(ipv4_to_int(addr) & mask)}/{plen}"
 
 
-def key_function(scheme: FlowScheme) -> Callable[[PacketEvent], FlowKey]:
-    """Compile a scheme into a per-event key extractor.
-
-    Prefix truncation memoizes source -> CIDR string per returned function,
-    which is what makes platform-scale keying cheap: real traces repeat
-    sources millions of times.
-    """
-    per_sensor = scheme.scope == PER_SENSOR
-    use_dst = scheme.use_dst_addr
-    use_sport = scheme.use_src_port
-    use_dport = scheme.use_dst_port
-
-    label = _src_label(scheme)
-    if label is not None:
-        cache: dict[str, str] = {}
-
-        def src_of(addr: str) -> str:
-            cidr = cache.get(addr)
-            if cidr is None:
-                cidr = cache[addr] = label(addr)
-            return cidr
-
-    else:
-        def src_of(addr: str) -> str:
-            return addr
-
-    def key_of(event: PacketEvent) -> FlowKey:
-        return FlowKey(
-            event.sensor if per_sensor else None,
-            src_of(event.src_ip),
-            event.dst_ip if use_dst else None,
-            event.src_port if use_sport else None,
-            event.dst_port if use_dport else None,
-        )
-
-    return key_of
-
-
 def flow_key(event: PacketEvent, scheme: FlowScheme) -> FlowKey:
-    """One-shot key projection; use :func:`key_function` in loops."""
-    return key_function(scheme)(event)
+    """The flow identifier of one event under ``scheme``."""
+    return _KeyedSplit([event], scheme)._keys(np.zeros(1, np.intp))[0]
 
 
 class Flow(NamedTuple):
@@ -221,6 +182,7 @@ class _KeyedSplit:
 
     def __init__(self, events: list[PacketEvent], scheme: FlowScheme) -> None:
         self.events = events
+        self.scheme = scheme
         ts = np.fromiter(map(attrgetter("ts"), events), np.float64, len(events))
         regressed = np.flatnonzero(ts[1:] < ts[:-1])
         # position of the first event whose ts is below its predecessor's, or 0
@@ -272,30 +234,32 @@ class _KeyedSplit:
             )
         return np.flatnonzero(self.key_change | (self.gap > idle_timeout))
 
-    def _keys(self) -> list[FlowKey]:
-        """One FlowKey per key number."""
-        heads = np.flatnonzero(self.key_change)
+    def _keys(self, positions: np.ndarray) -> list[FlowKey]:
+        """The FlowKey of the event at each sorted position."""
         fields = []
         for attr in _KEY_ATTRS:
             if attr in self.key_attrs:
                 codes, labels = self._columns[attr]
-                fields.append([labels[code] for code in codes[heads].tolist()])
+                fields.append([labels[code] for code in codes[positions].tolist()])
             else:
                 fields.append(repeat(None))
         return list(map(FlowKey, *fields))
 
-    def flows(self, starts: np.ndarray) -> list[Flow]:
-        """The flows beginning at ``starts``, ordered by (first_ts, key)."""
-        stops = np.append(starts[1:], len(self.events))
-        key_index = self.key_index[starts]
-        canonical = np.lexsort((key_index, self.ts[starts]))
-        keys = self._keys()
-        packets = [self.events[i] for i in self.order.tolist()]
+    def flows(self, starts: np.ndarray, stops: np.ndarray) -> list[Flow]:
+        """The flows over sorted positions ``starts[i]:stops[i]``, in the given order.
+
+        Flows of one key share one FlowKey, and only the packets of these
+        flows are gathered.
+        """
+        _, first, key_of = np.unique(self.key_index[starts], return_index=True, return_inverse=True)
+        keys = self._keys(starts[first])
+        sizes = stops - starts
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        positions = np.arange(sizes.sum()) + np.repeat(starts - begins, sizes)
+        packets = [self.events[i] for i in self.order[positions].tolist()]
         return [
-            Flow(keys[k], tuple(packets[a:b]))
-            for k, a, b in zip(
-                key_index[canonical].tolist(), starts[canonical].tolist(), stops[canonical].tolist()
-            )
+            Flow(keys[k], tuple(packets[a:b])) for k, a, b in zip(key_of.tolist(), begins.tolist(), ends.tolist())
         ]
 
 
@@ -325,4 +289,7 @@ def assemble(
     count downstream.
     """
     split = _KeyedSplit(list(events), scheme)
-    return split.flows(split.flow_starts(idle_timeout))
+    starts = split.flow_starts(idle_timeout)
+    stops = np.append(starts[1:], len(split.events))
+    canonical = np.lexsort((split.key_index[starts], split.ts[starts]))
+    return split.flows(starts[canonical], stops[canonical])

@@ -5,11 +5,14 @@ scratch (ipaddress for prefix truncation, plain dict-of-lists grouping,
 explicit gap scan) so the engine and the oracle can only agree by both
 being right. The assembly oracle is the stream-order, dict-of-open-flows
 assembly that :func:`honeyflow.flows.assemble` must stay equal to, flow
-order and error text included; the sweep oracle recomputes every grid cell
-with a fresh assemble + detect. The ingest oracle is the plain line-by-line
-parser and sort that :func:`honeyflow.load_trace` must stay equal to. The
-baseline-matching and carpet oracles are the nested loops that the prefix
-and time indexes of :mod:`honeyflow.completeness` and the bisect counts of
+order and error text included. The detection oracle is the flow-object
+loop that :func:`honeyflow.detection.detect` and
+:func:`honeyflow.detection.detect_attacks` must stay equal to; the sweep
+oracle recomputes every grid cell with both oracles. The ingest oracle is
+the plain line-by-line parser and sort that :func:`honeyflow.load_trace`
+must stay equal to. The baseline-matching and carpet oracles are the
+nested loops that the prefix and time indexes of
+:mod:`honeyflow.completeness` and the bisect counts of
 :func:`honeyflow.detection.detect_carpet_bombing` replaced.
 """
 
@@ -22,9 +25,9 @@ import random
 from dataclasses import replace
 
 from honeyflow import FormatError, PacketEvent
-from honeyflow.detection import detect, victims
+from honeyflow.detection import AttackEvent, _check_port_condition, _event_sort_key, _victim_of_key_src, victims
 from honeyflow.events import ipv4_to_int
-from honeyflow.flows import PER_SENSOR, Flow, FlowKey, FlowScheme, UnsortedTraceError, assemble, key_function
+from honeyflow.flows import PER_SENSOR, Flow, FlowKey, FlowScheme, UnsortedTraceError
 
 TEST_PORTS = (53, 123, 389)
 TEST_SRC_PORTS = (1111, 2222, 3333, 4444, 5555)
@@ -204,6 +207,33 @@ def oracle_partition(
     return oracle_split_gaps(events, oracle_group_indices(events, scheme), idle_timeout)
 
 
+def key_function(scheme: FlowScheme):
+    """Compile a scheme into a per-event FlowKey extractor (prefixes via ipaddress)."""
+    per_sensor = scheme.scope == PER_SENSOR
+    use_dst = scheme.use_dst_addr
+    use_sport = scheme.use_src_port
+    use_dport = scheme.use_dst_port
+
+    if scheme.use_src_prefix:
+        def src_of(addr: str) -> str:
+            return _oracle_prefix(addr, scheme.src_prefix_len)
+
+    else:
+        def src_of(addr: str) -> str:
+            return addr
+
+    def key_of(event: PacketEvent) -> FlowKey:
+        return FlowKey(
+            event.sensor if per_sensor else None,
+            src_of(event.src_ip),
+            event.dst_ip if use_dst else None,
+            event.src_port if use_sport else None,
+            event.dst_port if use_dport else None,
+        )
+
+    return key_of
+
+
 def oracle_assemble(events, scheme: FlowScheme, idle_timeout: float) -> list[Flow]:
     """Stream-order assembly: one open flow per key in a dict, split on the gap.
 
@@ -238,8 +268,68 @@ def oracle_assemble(events, scheme: FlowScheme, idle_timeout: float) -> list[Flo
     return done
 
 
+def _oracle_window_cluster_starts(groups, first_ts, last_ts) -> list[int]:
+    """Where each overlap cluster begins among flows ordered by (group, first_ts, key)."""
+    starts: list[int] = []
+    group = window_end = None
+    for index, (flow_group, first, last) in enumerate(zip(groups, first_ts, last_ts)):
+        if flow_group != group or first > window_end:
+            starts.append(index)
+            group, window_end = flow_group, last
+        elif last < window_end:
+            window_end = last
+    return starts
+
+
+def oracle_detect(flows, thresholds):
+    """Flow-object detection: a per-flow loop, or clustering by overlap windows per key modulo sensor.
+
+    This is the engine's detection before it decided on arrays;
+    :func:`honeyflow.detection.detect` and
+    :func:`honeyflow.detection.detect_attacks` must return the same events
+    and raise the same errors.
+    """
+    if not flows:
+        return []
+    sample_key = flows[0].key
+    _check_port_condition(thresholds, sample_key.dst_port is not None)
+
+    events = []
+    if thresholds.min_sensors == 1 or sample_key.sensor is None:
+        for flow in flows:
+            if not thresholds.passes_load(flow.packet_count):
+                continue
+            if thresholds.min_dst_ports > 1 and len(flow.dst_ports) < thresholds.min_dst_ports:
+                continue
+            if thresholds.min_sensors > 1 and len(flow.sensors) < thresholds.min_sensors:
+                continue
+            events.append(AttackEvent.from_flows(_victim_of_key_src(flow.key.src), (flow,)))
+    else:
+        groups: dict[FlowKey, list[Flow]] = {}
+        for flow in flows:
+            if thresholds.passes_load(flow.packet_count):
+                groups.setdefault(flow.key.without_sensor(), []).append(flow)
+        members: list[Flow] = []
+        labels: list[int] = []
+        for label, group_key in enumerate(sorted(groups, key=FlowKey.sort_key)):
+            members += sorted(groups[group_key], key=lambda f: (f.first_ts, f.key.sort_key()))
+            labels += [label] * len(groups[group_key])
+        starts = _oracle_window_cluster_starts(
+            labels, [f.first_ts for f in members], [f.last_ts for f in members]
+        )
+        for start, stop in zip(starts, starts[1:] + [len(members)]):
+            cluster = members[start:stop]
+            distinct = {s for f in cluster for s in f.sensors}
+            ports = {p for f in cluster for p in f.dst_ports}
+            if len(distinct) >= thresholds.min_sensors and len(ports) >= thresholds.min_dst_ports:
+                events.append(AttackEvent.from_flows(_victim_of_key_src(cluster[0].key.src), cluster))
+
+    events.sort(key=_event_sort_key)
+    return events
+
+
 def oracle_sweep(events, scheme: FlowScheme, timeouts, loads, base_thresholds) -> list[list[tuple[int, int]]]:
-    """Each (timeout, load) cell from a fresh assemble + detect, as (attack flows, victims).
+    """Each (timeout, load) cell from a fresh oracle assembly + detection, as (attack flows, victims).
 
     Cells are visited in grid order, so errors surface in the order the
     per-cell recomputation meets them.
@@ -247,10 +337,10 @@ def oracle_sweep(events, scheme: FlowScheme, timeouts, loads, base_thresholds) -
     stream = list(events)
     grid = []
     for timeout in timeouts:
-        flows = assemble(stream, scheme, timeout)
+        flows = oracle_assemble(stream, scheme, timeout)
         row = []
         for load in loads:
-            detected = detect(flows, replace(base_thresholds, idle_timeout=timeout, min_packets=load))
+            detected = oracle_detect(flows, replace(base_thresholds, idle_timeout=timeout, min_packets=load))
             row.append((sum(len(e.flows) for e in detected), len(victims(detected))))
         grid.append(row)
     return grid

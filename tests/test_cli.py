@@ -270,6 +270,9 @@ _PROFILE = {"name": "NTP", "dst_port": 123, "request_size": 13.0,
          "line 1: amplifier_count must be a positive integer: True"),
         (("--load", "inf"), "attack_load_bps must be finite: inf"),
         (("--duration", "inf"), "duration_s must be finite: inf"),
+        (("--profiles", {"request_size": 1e-200, "amplification_factor": 1e-200}),
+         "request_size * amplification_factor underflows to zero: "
+         "request_size=1e-200, amplification_factor=1e-200"),
     ],
 )
 def test_evade_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -1,4 +1,6 @@
 import json
+import time
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from honeyflow.detection import (
     victims,
     write_attack_report,
 )
+from honeyflow.events import int_to_ipv4, ipv4_to_int
 from honeyflow.flows import PER_PLATFORM, PER_SENSOR, Flow, FlowKey, FlowScheme, assemble
 from honeyflow.synth import AttackSpec, ScenarioSpec, synth
 
@@ -379,3 +382,67 @@ def test_attack_report_format(tmp_path):
         "dst_ports": [123],
         "preset": "amppot",
     }
+
+
+# -- scale: 10^6 events, planted attacks ----------------------------------------
+#
+# 20 sensors see a stream of one-packet background flows: a background key
+# (sensor, source, port) recurs every 1000 s, longer than any idle timeout
+# here, so no background flow reaches a load bar. Four kinds of victims, 1 s
+# between packets, are planted across the same time range:
+#   A  5-20 packets on one sensor:          ccc 1 attack, hpi none (not > 20)
+#   B  21 packets on each of two sensors,
+#      overlapping:                         ccc 2 attacks, hpi 1 (two sensors)
+#   C  30 packets on one sensor:            ccc 1 attack, hpi none (one sensor)
+#   D  21 packets on each of two sensors,
+#      100 s apart:                         ccc 2 attacks, hpi none (no overlap)
+# Each call must stay under a 30 s bound, far above the fraction of a second
+# it takes.
+
+_EVENTS_AT_SCALE = 1_000_000
+_PLANTED = {"A": 2000, "B": 1000, "C": 1000, "D": 500}
+
+
+def _planted_scale_trace() -> list[PacketEvent]:
+    sensors = [(f"s{i:02d}", f"192.0.2.{i + 1}") for i in range(20)]
+    events = []
+    victim = 0
+    for kind, count in _PLANTED.items():
+        for k in range(count):
+            src = int_to_ipv4(ipv4_to_int("100.64.0.0") + victim)
+            t0 = 2.0 * victim
+            a, b = sensors[victim % 20], sensors[(victim + 1) % 20]
+            if kind == "A":
+                runs = [(a, t0, 5 + k % 16)]
+            elif kind == "B":
+                runs = [(a, t0, 21), (b, t0 + 0.5, 21)]
+            elif kind == "C":
+                runs = [(a, t0, 30)]
+            else:
+                runs = [(a, t0, 21), (b, t0 + 100.0, 21)]
+            for (sensor, addr), start, n in runs:
+                events += [PacketEvent(start + i, sensor, src, 4444, addr, 123) for i in range(n)]
+            victim += 1
+    background = [int_to_ipv4(ipv4_to_int("45.0.0.0") + i) for i in range(5000)]
+    events += [
+        PacketEvent(0.01 * i, sensors[i % 20][0], background[(i // 20) % 5000], 50000, sensors[i % 20][1], 123)
+        for i in range(_EVENTS_AT_SCALE - len(events))
+    ]
+    events.sort(key=attrgetter("ts"))
+    return events
+
+
+def test_detect_attacks_scale_planted_attacks():
+    events = _planted_scale_trace()
+    assert len(events) == _EVENTS_AT_SCALE
+    n = _PLANTED
+    expected = {
+        "ccc": (n["A"] + 2 * n["B"] + n["C"] + 2 * n["D"], n["A"] + n["B"] + n["C"] + n["D"]),
+        "hpi": (n["B"], n["B"]),
+    }
+    for name, (attacks, victim_count) in expected.items():
+        start = time.perf_counter()
+        found = detect_attacks(events, PRESETS[name])
+        elapsed = time.perf_counter() - start
+        assert elapsed < 30.0, f"{name}: detect_attacks took {elapsed:.1f} s"
+        assert (len(found), len(victims(found))) == (attacks, victim_count), name

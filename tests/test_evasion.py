@@ -43,11 +43,15 @@ def test_scenario_validation():
         ({"attack_load_bps": 1e209, "duration_s": 1e150},
          "attack_load_bps * duration_s overflows the request count: "
          "attack_load_bps=1e+209, duration_s=1e+150"),
+        # each positive, but request_size * amplification_factor underflows to 0.0
+        ({"profile": ProtocolProfile("X", 9, 1e-200, 1e-200, 10)},
+         "request_size * amplification_factor underflows to zero: "
+         "request_size=1e-200, amplification_factor=1e-200"),
     ],
 )
 def test_scenario_rejects_non_finite_and_non_numbers(kwargs, message):
     with pytest.raises(ValueError) as info:
-        EvasionScenario(profile=DNS, **kwargs)
+        EvasionScenario(**{"profile": DNS, **kwargs})
     assert str(info.value) == message
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_random_trace, oracle_sweep, outcome
+from helpers import make_random_trace, oracle_assemble, oracle_detect, oracle_sweep, outcome
 from honeyflow import PacketEvent
-from honeyflow.detection import PRESETS, AttackThresholds, detect, victims
+from honeyflow.detection import PRESETS, AttackThresholds, DetectionPreset, detect, detect_attacks, victims
 from honeyflow.flows import PER_PLATFORM, PER_SENSOR, FlowScheme, assemble
 from honeyflow.sweep import HeatmapGrid, sweep, write_heatmap_csv
 
@@ -150,6 +150,59 @@ def test_sweep_equals_per_cell_recomputation(events, case, timeouts, loads):
     grid = sweep(events, scheme, timeouts, loads, base)
     cells = [[grid.cell(t, load) for load in loads] for t in timeouts]
     assert cells == oracle_sweep(events, scheme, timeouts, loads, base)
+
+
+# every preset's scheme and conditions, the sweep cases, and a port condition
+# on a port-keyed scheme, which must fail with the same error
+_DETECT_CASES = {
+    **_SWEEP_CASES,
+    **{
+        f"preset-{name}": (preset.scheme, {
+            "min_dst_ports": preset.thresholds.min_dst_ports,
+            "min_sensors": preset.thresholds.min_sensors,
+            "comparison": preset.thresholds.comparison,
+        })
+        for name, preset in PRESETS.items()
+    },
+    "ccc-ports": (PRESETS["ccc"].scheme, {"min_dst_ports": 2}),
+}
+_DETECT_THRESHOLDS = {
+    "case": st.sampled_from(sorted(_DETECT_CASES)),
+    "timeout": st.sampled_from((0.5, 1.0, 2.0, 3.0, 10.0, 1e9)),  # the grid's gaps are whole seconds
+    "load": st.sampled_from((1, 2, 3, 4, 6, 10)),
+}
+
+
+def _packet_ids(result):
+    """Packet identities per event, or the error ``outcome`` returned."""
+    if isinstance(result, tuple):
+        return result
+    return [[id(p) for f in e.flows for p in f.packets] for e in result]
+
+
+@settings(max_examples=400, deadline=None)
+@given(events=_sorted_streams(), **_DETECT_THRESHOLDS)
+def test_detect_equals_oracle(events, case, timeout, load):
+    scheme, knobs = _DETECT_CASES[case]
+    thresholds = AttackThresholds(name=case, idle_timeout=timeout, min_packets=load, **knobs)
+    flows = oracle_assemble(events, scheme, timeout)
+    got = outcome(detect, flows, thresholds)
+    expected = outcome(oracle_detect, flows, thresholds)
+    assert got == expected
+    assert _packet_ids(got) == _packet_ids(expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(events=_sorted_streams(), unsorted=st.booleans(), **_DETECT_THRESHOLDS)
+def test_detect_attacks_equals_oracle(events, unsorted, case, timeout, load):
+    scheme, knobs = _DETECT_CASES[case]
+    thresholds = AttackThresholds(name=case, idle_timeout=timeout, min_packets=load, **knobs)
+    if unsorted:
+        events = events[::-1]
+    got = outcome(detect_attacks, events, DetectionPreset(case, scheme, thresholds))
+    expected = outcome(lambda: oracle_detect(oracle_assemble(events, scheme, timeout), thresholds))
+    assert got == expected
+    assert _packet_ids(got) == _packet_ids(expected)
 
 
 @pytest.mark.parametrize(
