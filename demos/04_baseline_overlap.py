@@ -57,7 +57,7 @@ attacks = detect_attacks(corpus.events, PRESETS["ccc"])
 report = overlap_report(attacks, corpus.events, corpus.baseline, slack_s=0.0)
 print(f"\ndetector confirmed {report.matched_with_ports}/{report.baseline_with_ports} "
       f"baseline events ({report.detector_share:.1%})")
-print(f"permissive upper bound: {report.upper_with_ports} ({report.upper_share:.1%})")
+print(f"packet-level upper bound: {report.upper_with_ports} ({report.upper_share:.1%})")
 print(f"venn: honeypot-only victims={report.venn.honeypot_only}, "
       f"overlap={report.venn.overlap}, baseline-only events={report.venn.baseline_only}")
 

@@ -5,8 +5,14 @@ baseline attack records from a third party (matched per victim prefix,
 protocol, and time) and telescope-attributed scanner lists (matched per
 source). The report structures here keep both directions of the comparison
 honest: what the detector found that the baseline confirms, what the
-baseline says the platform missed, and what the platform could at best have
-confirmed if every single packet were believed (the upper bound).
+baseline says the platform missed, and what the platform would have
+confirmed if every single packet were believed (the packet-level bound).
+
+Matching in both directions, and that bound, query one span index: per key
+(port, mask, net), port None for a port-less record, the starts of closed
+spans in ascending order and the running maximum of their ends. Records
+query it for attack spans, or for packets as zero-length spans; attacks
+query it for record windows widened by the slack.
 
 Unit conventions, fixed once: per-protocol counts and the ``baseline_only``
 side of the Venn triple count baseline *events*; the ``overlap`` and
@@ -19,11 +25,11 @@ from __future__ import annotations
 
 import csv
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from operator import attrgetter, itemgetter
+from typing import Iterable, Sequence
 
 from .detection import (
     GRANULARITY_ADDRESS,
@@ -113,21 +119,9 @@ class UpperBoundFragment:
     portless_covered: int = 0
 
 
-@dataclass(frozen=True)
-class _CompiledBaseline:
-    record: BaselineAttack
-    nets: tuple[tuple[int, int], ...]  # (network, mask) pairs
-
-    @property
-    def portless(self) -> bool:
-        return not self.record.protocols
-
-
-def _compile(baseline: Iterable[BaselineAttack]) -> list[_CompiledBaseline]:
-    return [
-        _CompiledBaseline(record=b, nets=tuple(prefix_net_mask(p) for p in b.prefixes))
-        for b in baseline
-    ]
+_Key = tuple  # (port, mask, net)
+_Index = dict[_Key, tuple[list[float], list[float]]]
+_start, _end = itemgetter(0), itemgetter(1)
 
 
 def _victim_probe(victim) -> tuple[int, int]:
@@ -138,77 +132,53 @@ def _victim_probe(victim) -> tuple[int, int]:
     return prefix_net_mask(victim.identity)
 
 
-class _BucketSweep:
-    """Records of one (mask, net) bucket, swept by attacks in first_ts order.
+def _span_index(filed: dict[_Key, list[tuple[float, float]]]) -> _Index:
+    """The span index of the module docstring over the (start, end) spans filed per key."""
+    index = {}
+    for key, spans in filed.items():
+        if spans:
+            spans.sort(key=_start)
+            index[key] = (list(map(_start, spans)), list(accumulate(map(_end, spans), max)))
+    return index
 
-    Windows are widened by the slack: a record spans [start_ts - slack_s,
-    end_ts + slack_s]. Records whose widened start precedes the current
-    attack's first_ts sit in a heap keyed by widened end; those ending
-    before first_ts are popped and can match no later attack either.
+
+def _meets(index: _Index, key: _Key, lo: float, hi: float) -> bool:
+    """True when a span filed under ``key`` meets the closed interval [lo, hi].
+
+    The spans starting at or before ``hi`` are a prefix of the sorted starts,
+    and one of them ends at or after ``lo`` iff their running maximum does.
     """
-
-    __slots__ = ("order", "starts", "ends", "next", "open")
-
-    def __init__(self, indices: list[int], starts: list[float], ends: list[float]) -> None:
-        self.order = sorted(indices, key=starts.__getitem__)
-        self.starts = [starts[i] for i in self.order]
-        self.ends = ends
-        self.next = 0
-        self.open: list[tuple[float, int]] = []
-
-    def overlapping(self, first_ts: float, last_ts: float) -> list[int]:
-        """Indices of the records whose widened window meets [first_ts, last_ts]."""
-        order, starts, heap = self.order, self.starts, self.open
-        pos = self.next
-        while pos < len(order) and starts[pos] < first_ts:
-            heappush(heap, (self.ends[order[pos]], order[pos]))
-            pos += 1
-        self.next = pos
-        while heap and heap[0][0] < first_ts:
-            heappop(heap)
-        # widened ends are never below widened starts, so the records
-        # starting inside the span end inside or after it
-        return [index for _, index in heap] + order[pos:bisect_right(starts, last_ts, pos)]
-
-
-def _overlapping_records(
-    probes: list[tuple[AttackEvent, tuple[int, int]]],
-    records: list[_CompiledBaseline],
-    slack_s: float,
-) -> Iterator[tuple[AttackEvent, set[int]]]:
-    """Each attack with the indices of the records that cover its victim in
-    prefix and overlap its span in time; ``probes`` come in first_ts order.
-
-    The time test is the closed-interval one, ``first_ts <= end_ts + slack_s``
-    and ``last_ts >= start_ts - slack_s``, with the bounds computed once.
-    """
-    starts = [cb.record.start_ts - slack_s for cb in records]
-    ends = [cb.record.end_ts + slack_s for cb in records]
-    members: dict[tuple[int, int], list[int]] = {}
-    for index, cb in enumerate(records):
-        for net, mask in cb.nets:
-            members.setdefault((mask, net), []).append(index)
-    buckets = {key: _BucketSweep(indices, starts, ends) for key, indices in members.items()}
-    masks = sorted({mask for mask, _ in buckets})
-    for attack, (value, vmask) in probes:
-        # a set: a record holding two prefixes that both cover the victim
-        # is found once
-        found: set[int] = set()
-        for mask in masks:
-            if mask > vmask:
-                break
-            bucket = buckets.get((mask, value & mask))
-            if bucket is not None:
-                found.update(bucket.overlapping(attack.first_ts, attack.last_ts))
-        yield attack, found
-
-
-def _stamp_within(stamps: list[float] | None, lo: float, hi: float) -> bool:
-    """True when the ascending ``stamps`` hold a value in [lo, hi]."""
-    if not stamps:
+    entry = index.get(key)
+    if entry is None:
         return False
-    pos = bisect_left(stamps, lo)
-    return pos < len(stamps) and stamps[pos] <= hi
+    starts, reach = entry
+    pos = bisect_right(starts, hi)
+    return pos > 0 and reach[pos - 1] >= lo
+
+
+def _record_keys(baseline: Sequence[BaselineAttack]) -> tuple[list[list[_Key]], dict[_Key, list], list[int]]:
+    """Per record, its key per port and prefix; an empty list under each of
+    those keys; and their masks in ascending order. Observations are filed
+    only under these keys, so those no record can see are never stored."""
+    keys = []
+    for record in baseline:
+        nets = [prefix_net_mask(prefix) for prefix in record.prefixes]
+        keys.append([(port, mask, net) for port in record.protocols or (None,) for net, mask in nets])
+    filed: dict[_Key, list] = {key: [] for record_keys in keys for key in record_keys}
+    return keys, filed, sorted({mask for _, mask, _ in filed})
+
+
+def _covered_ports(
+    baseline: Sequence[BaselineAttack], keys: list[list[_Key]], index: _Index, slack_s: float
+) -> list[list[int | None]]:
+    """Per record, the ports on which an observation span in ``index`` meets
+    the record's window widened by ``slack_s``, in the record's port order;
+    ``[None]`` for a covered port-less record."""
+    covered = []
+    for record, record_keys in zip(baseline, keys):
+        lo, hi = record.start_ts - slack_s, record.end_ts + slack_s
+        covered.append(list(dict.fromkeys(key[0] for key in record_keys if _meets(index, key, lo, hi))))
+    return covered
 
 
 def match_baseline(
@@ -230,65 +200,56 @@ def match_baseline(
     """
     if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
-    compiled = _compile(baseline)
-
-    portful = [cb for cb in compiled if not cb.portless]
-    portless = [cb for cb in compiled if cb.portless]
-    event_ports: list[set[int]] = [set() for _ in portful]
-    portless_hit = [False] * len(portless)
-    victim_matched: set = set()
-    matched_victims_per_port: dict[int, set] = {}
-    victims_per_port: dict[int, set] = {}
-
+    keys, filed, masks = _record_keys(baseline)
+    record_spans: dict[_Key, list[tuple[float, float]]] = {}
+    for record, record_keys in zip(baseline, keys):
+        span = (record.start_ts - slack_s, record.end_ts + slack_s)
+        for key in record_keys:
+            record_spans.setdefault(key, []).append(span)
+    windows = _span_index(record_spans)
+    # each attack is filed under the keys its victim, ports and port None fall
+    # in, and queries the record windows per port (so never port None)
+    observed: dict[int, set] = {}
+    confirmed: dict[int, set] = {}
     for attack in attacks:
+        value, vmask = _victim_probe(attack.victim)
+        within = [mask for mask in masks if mask <= vmask]
+        span = (attack.first_ts, attack.last_ts)
+        for port in (*attack.dst_ports, None):
+            for mask in within:
+                spans = filed.get((port, mask, value & mask))
+                if spans is not None:
+                    spans.append(span)
         for port in attack.dst_ports:
-            victims_per_port.setdefault(port, set()).add(attack.victim)
-    probes = sorted(
-        ((a, _victim_probe(a.victim)) for a in attacks), key=lambda pair: pair[0].first_ts
-    )
-    for attack, found in _overlapping_records(probes, portful, slack_s):
-        for idx in found:
-            common = portful[idx].record.protocols & attack.dst_ports
-            if not common:
-                continue
-            event_ports[idx].update(common)
-            victim_matched.add(attack.victim)
-            for port in common:
-                matched_victims_per_port.setdefault(port, set()).add(attack.victim)
-    for _, found in _overlapping_records(probes, portless, slack_s):
-        for idx in found:
-            portless_hit[idx] = True
+            observed.setdefault(port, set()).add(attack.victim)
+            if any(_meets(windows, (port, mask, value & mask), *span) for mask in within):
+                confirmed.setdefault(port, set()).add(attack.victim)
+    covered = _covered_ports(baseline, keys, _span_index(filed), slack_s)
+    portful = [record for record in baseline if record.protocols]
+    event_ports = [ports for record, ports in zip(baseline, covered) if record.protocols]
 
-    ports = set(victims_per_port)
-    for cb in portful:
-        ports.update(cb.record.protocols)
-    per_protocol: dict[int, ProtocolOverlap] = {}
-    for port in sorted(ports):
-        total = sum(1 for cb in portful if port in cb.record.protocols)
-        matched = sum(1 for hit in event_ports if port in hit)
-        observed = victims_per_port.get(port, set())
-        confirmed = matched_victims_per_port.get(port, set())
+    per_protocol = {}
+    for port in sorted(set(observed).union(*(record.protocols for record in portful))):
+        seen = observed.get(port, set())
         per_protocol[port] = ProtocolOverlap(
-            baseline_total=total,
-            matched_by_detector=matched,
-            honeypot_victims=len(observed),
-            honeypot_only=len(observed - confirmed),
+            baseline_total=sum(port in record.protocols for record in portful),
+            matched_by_detector=sum(port in ports for ports in event_ports),
+            honeypot_victims=len(seen),
+            honeypot_only=len(seen - confirmed.get(port, set())),
         )
-
-    all_victims = victims(attacks)
-    matched_events = sum(1 for hit in event_ports if hit)
-    venn = VennTriple(
-        honeypot_only=len(all_victims - victim_matched),
-        overlap=len(victim_matched),
-        baseline_only=len(portful) - matched_events,
-    )
+    matched_events = sum(1 for ports in event_ports if ports)
+    victim_matched = set().union(*confirmed.values())
     return OverlapReport(
         per_protocol=per_protocol,
-        venn=venn,
+        venn=VennTriple(
+            honeypot_only=len(victims(attacks) - victim_matched),
+            overlap=len(victim_matched),
+            baseline_only=len(portful) - matched_events,
+        ),
         baseline_with_ports=len(portful),
         matched_with_ports=matched_events,
-        portless_total=len(portless),
-        portless_matched=sum(portless_hit),
+        portless_total=len(baseline) - len(portful),
+        portless_matched=sum(1 for record, ports in zip(baseline, covered) if ports and not record.protocols),
     )
 
 
@@ -298,55 +259,41 @@ def upper_bound(
     *,
     slack_s: float = 0.0,
 ) -> UpperBoundFragment:
-    """Best-case coverage if every observed packet counted as an attack.
+    """Packet-level coverage: the detector's matching rule with every packet
+    believed as a zero-length attack on its source address.
 
     A baseline record is covered on port p iff some packet has src_ip inside
     one of its prefixes, dst_port == p, and ts inside the (slack-widened)
-    record window. This depends on packets alone, no thresholds, so it upper
-    bounds any detector that derives attacks from these events.
+    record window. This depends on packets alone, no thresholds. It is not
+    a bound on every detector: an attack whose span straddles a record
+    window with no packet inside it confirms the record, the packets do not.
     """
     if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
-    compiled = _compile(baseline)
-    masks = sorted({mask for cb in compiled for _, mask in cb.nets})
-    ports = {port for cb in compiled for port in cb.record.protocols}
-    any_portless = any(cb.portless for cb in compiled)
-
-    # ascending packet stamps per (dst_port, mask, src & mask), and per
-    # (None, mask, src & mask) for the portless records
-    stamps: dict[tuple[int | None, int, int], list[float]] = {}
-    src_values: dict[str, int] = {}
+    # packets are zero-length spans; filed in ts order, the stamps under a
+    # key are their own running maximum
+    keys, stamps, masks = _record_keys(baseline)
+    values: dict[str, int] = {}
     for event in sorted(events, key=attrgetter("ts")):
-        value = src_values.get(event.src_ip)
+        value = values.get(event.src_ip)
         if value is None:
-            value = src_values[event.src_ip] = ipv4_to_int(event.src_ip)
-        port = event.dst_port if event.dst_port in ports else None
+            value = values[event.src_ip] = ipv4_to_int(event.src_ip)
         for mask in masks:
             net = value & mask
-            if port is not None:
-                stamps.setdefault((port, mask, net), []).append(event.ts)
-            if any_portless:
-                stamps.setdefault((None, mask, net), []).append(event.ts)
-
+            for port in (event.dst_port, None):
+                times = stamps.get((port, mask, net))
+                if times is not None:
+                    times.append(event.ts)
+    index = {key: (times, times) for key, times in stamps.items() if times}
+    covered = _covered_ports(baseline, keys, index, slack_s)
     fragment = UpperBoundFragment()
-    port_hits: dict[int, int] = {}
-    for cb in compiled:
-        lo = cb.record.start_ts - slack_s
-        hi = cb.record.end_ts + slack_s
-        if cb.portless:
-            if any(_stamp_within(stamps.get((None, mask, net)), lo, hi) for net, mask in cb.nets):
-                fragment.portless_covered += 1
-            continue
-        hit = [
-            port
-            for port in cb.record.protocols
-            if any(_stamp_within(stamps.get((port, mask, net)), lo, hi) for net, mask in cb.nets)
-        ]
-        if hit:
+    for record, ports in zip(baseline, covered):
+        if ports and not record.protocols:
+            fragment.portless_covered += 1
+        elif ports:
             fragment.covered_with_ports += 1
-        for port in hit:
-            port_hits[port] = port_hits.get(port, 0) + 1
-    fragment.per_protocol = port_hits
+            for port in ports:
+                fragment.per_protocol[port] = fragment.per_protocol.get(port, 0) + 1
     return fragment
 
 
@@ -361,9 +308,7 @@ def overlap_report(
     report = match_baseline(attacks, baseline, slack_s=slack_s)
     fragment = upper_bound(events, baseline, slack_s=slack_s)
     for port, count in fragment.per_protocol.items():
-        if port not in report.per_protocol:
-            report.per_protocol[port] = ProtocolOverlap()
-        report.per_protocol[port].matched_upper_bound = count
+        report.per_protocol.setdefault(port, ProtocolOverlap()).matched_upper_bound = count
     report.upper_with_ports = fragment.covered_with_ports
     report.portless_upper = fragment.portless_covered
     return report

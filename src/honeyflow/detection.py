@@ -424,21 +424,20 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
 def detect_attacks(
     events: Iterable[PacketEvent],
     preset: DetectionPreset,
-    thresholds: AttackThresholds | None = None,
 ) -> list[AttackEvent]:
-    """Assemble with the preset's scheme and detect; ``thresholds`` overrides the preset's.
+    """Assemble with the preset's scheme and detect with its thresholds.
 
     Equal to :func:`detect` on :func:`honeyflow.flows.assemble`, errors
     included, but the trace is keyed once and only the flows of attacking
     clusters are built.
     """
-    active = thresholds if thresholds is not None else preset.thresholds
+    thresholds = preset.thresholds
     split = _KeyedSplit(list(events), preset.scheme)
-    starts = split.flow_starts(active.idle_timeout)
+    starts = split.flow_starts(thresholds.idle_timeout)
     if not len(starts):
         return []
-    columns = _split_columns(split, starts, active)
-    ((members, heads),) = _attack_runs(columns, [active])
+    columns = _split_columns(split, starts, thresholds)
+    ((members, heads),) = _attack_runs(columns, [thresholds])
     first = starts[members]
     return _attack_events(split.flows(first, first + columns.sizes[members]), heads)
 

@@ -71,10 +71,16 @@ class EvasionScenario:
                 f"request_size={self.profile.request_size}, "
                 f"amplification_factor={self.profile.amplification_factor}"
             )
-        if not math.isfinite(requests_per_attack(self)):
+        if not math.isfinite(self.attack_load_bps / 8.0 * self.duration_s):
             raise ValueError(
                 "attack_load_bps * duration_s overflows the request count: "
                 f"attack_load_bps={self.attack_load_bps}, duration_s={self.duration_s}"
+            )
+        if not math.isfinite(requests_per_attack(self)):
+            raise ValueError(
+                "request_size * amplification_factor is too small for the request count: "
+                f"request_size={self.profile.request_size}, "
+                f"amplification_factor={self.profile.amplification_factor}"
             )
 
 

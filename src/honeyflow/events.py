@@ -125,11 +125,6 @@ def normalize_prefix(prefix: str) -> str:
     return f"{int_to_ipv4(net)}/{mask.bit_count()}"
 
 
-def _prefix_sort_key(prefix: str) -> tuple[int, int]:
-    net, mask = prefix_net_mask(prefix)
-    return net, mask
-
-
 # -- packet events ------------------------------------------------------------
 
 def _check_port(value: int, name: str) -> None:
@@ -422,7 +417,7 @@ def serialize_baseline(attack: BaselineAttack) -> str:
             "start_ts": attack.start_ts,
             "end_ts": attack.end_ts,
             "protocols": sorted(attack.protocols),
-            "prefixes": sorted(attack.prefixes, key=_prefix_sort_key),
+            "prefixes": sorted(attack.prefixes, key=prefix_net_mask),
         },
         separators=(",", ":"),
     )
@@ -430,7 +425,7 @@ def serialize_baseline(attack: BaselineAttack) -> str:
 
 def load_baseline(path: str) -> list[BaselineAttack]:
     records = [parse_baseline_line(line, line_no) for line_no, line in _nonblank_lines(path)]
-    records.sort(key=lambda b: (b.start_ts, b.end_ts, sorted(b.prefixes, key=_prefix_sort_key)))
+    records.sort(key=lambda b: (b.start_ts, b.end_ts, sorted(b.prefixes, key=prefix_net_mask)))
     return records
 
 

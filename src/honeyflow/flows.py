@@ -99,10 +99,6 @@ class FlowKey(NamedTuple):
             -1 if self.dst_port is None else self.dst_port,
         )
 
-    def without_sensor(self) -> "FlowKey":
-        """The key with sensor-identifying fields (sensor id, dst addr) blanked."""
-        return FlowKey(None, self.src, None, self.src_port, self.dst_port)
-
 
 def _src_label(scheme: FlowScheme) -> Callable[[str], str] | None:
     """The source as the scheme keys it: the CIDR of its prefix, or None for the address itself."""

@@ -308,7 +308,8 @@ def oracle_detect(flows, thresholds):
         groups: dict[FlowKey, list[Flow]] = {}
         for flow in flows:
             if thresholds.passes_load(flow.packet_count):
-                groups.setdefault(flow.key.without_sensor(), []).append(flow)
+                k = flow.key
+                groups.setdefault(FlowKey(None, k.src, None, k.src_port, k.dst_port), []).append(flow)
         members: list[Flow] = []
         labels: list[int] = []
         for label, group_key in enumerate(sorted(groups, key=FlowKey.sort_key)):

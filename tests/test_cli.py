@@ -273,6 +273,9 @@ _PROFILE = {"name": "NTP", "dst_port": 123, "request_size": 13.0,
         (("--profiles", {"request_size": 1e-200, "amplification_factor": 1e-200}),
          "request_size * amplification_factor underflows to zero: "
          "request_size=1e-200, amplification_factor=1e-200"),
+        (("--profiles", {"request_size": 1e-160, "amplification_factor": 1e-160}),
+         "request_size * amplification_factor is too small for the request count: "
+         "request_size=1e-160, amplification_factor=1e-160"),
     ],
 )
 def test_evade_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -180,8 +180,20 @@ def test_overlap_report_merges_both_directions():
     assert report.detector_share == 0.5
     assert report.upper_share == 1.0
     assert report.per_protocol[123].matched_upper_bound == 2
-    # the bound can only move up from the detector's count
+    # here every confirmed record also holds a packet, so the bound is not below the count
     assert report.upper_with_ports >= report.matched_with_ports
+
+
+def test_upper_bound_is_packet_level_not_a_bound_on_the_detector():
+    # the attack spans [0, 100] and so meets the record's window [40, 60];
+    # none of its packets falls inside that window
+    events = [
+        PacketEvent(ts, "s1", "203.0.113.9", 50000, "192.0.2.1", 123) for ts in (0.0, 1.0, 2.0, 3.0, 100.0)
+    ]
+    baseline = [record(40.0, 60.0, {123}, {"203.0.113.0/24"})]
+    report = overlap_report(ccc_attacks(events), events, baseline)
+    assert report.matched_with_ports == 1
+    assert report.upper_with_ports == 0
 
 
 def test_empty_baseline_shares_are_zero():

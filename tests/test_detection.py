@@ -36,10 +36,10 @@ def burst(src, n, *, t0=0.0, dt=1.0, sensor="s1", dst="192.0.2.1", sport=50000, 
     ]
 
 
-def detect_burst(events, preset_name, thresholds=None):
+def detect_burst(events, preset_name):
     preset = PRESETS[preset_name]
     events = sorted(events, key=trace_sort_key)
-    return detect_attacks(events, preset, thresholds)
+    return detect_attacks(events, preset)
 
 
 def test_threshold_validation():

@@ -47,6 +47,10 @@ def test_scenario_validation():
         ({"profile": ProtocolProfile("X", 9, 1e-200, 1e-200, 10)},
          "request_size * amplification_factor underflows to zero: "
          "request_size=1e-200, amplification_factor=1e-200"),
+        # a tiny but nonzero product overflows the request count at the default load
+        ({"profile": ProtocolProfile("X", 9, 1e-160, 1e-160, 10)},
+         "request_size * amplification_factor is too small for the request count: "
+         "request_size=1e-160, amplification_factor=1e-160"),
     ],
 )
 def test_scenario_rejects_non_finite_and_non_numbers(kwargs, message):
