@@ -11,6 +11,10 @@ work). Three views:
 * a stability trace showing how those summaries move as the permutation
   sample grows, to justify a sample size far below n! orderings.
 
+Random orders are drawn in chunks and OR-accumulated over packed uint64
+victim bitsets; each order only adds its covered counts to one histogram per
+rank, so the sample is never held and every summary reads the histograms.
+
 Capture-recapture lives here too: the two-sample population estimate used
 to extrapolate how many victims exist beyond any sensor's view.
 """
@@ -20,8 +24,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -154,46 +156,75 @@ class RankStatistics:
         return len(self.medians)
 
 
-def _bitmask_rows(mapping: Mapping[str, set]) -> tuple[list[int], int]:
-    """One victim bitmask per sensor, in sensor id order, and the union size."""
-    index: dict[Hashable, int] = {}
-    masks = []
-    for sensor in sorted(mapping):
-        mask = 0
-        for victim in mapping[sensor]:
-            bit = index.setdefault(victim, len(index))
-            mask |= 1 << bit
-        masks.append(mask)
-    return masks, len(index)
-
-
 def _check_count(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be >= 1: {value}")
 
 
-def _coverage_shares(mapping: Mapping[str, set], n: int, seed: int | None) -> tuple[np.ndarray, int]:
-    """Shares covered by the first r sensors (column r - 1) of ``n`` random orders, and the union.
-
-    Row i is the i-th order from ``default_rng(seed)``; shares are 1.0 when
-    the union is empty. Every summary of a convergence run reads this matrix.
-    """
-    masks, union_size = _bitmask_rows(mapping)
-    rng = np.random.default_rng(seed)
-    shares = np.empty((n, len(masks)), dtype=np.float64)
-    for row in shares:
-        order = map(masks.__getitem__, rng.permutation(len(masks)).tolist())
-        row[:] = [union.bit_count() for union in accumulate(order, or_)]
-    if union_size:
-        shares /= union_size
-    else:
-        shares.fill(1.0)
-    return shares, union_size
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0: {seed}")
 
 
-def _rank_statistics(shares: np.ndarray, union_size: int) -> RankStatistics:
-    q1, medians, q3 = np.percentile(shares, [25, 50, 75], axis=0)
-    return RankStatistics(len(shares), union_size, shares.min(axis=0), q1, medians, q3, shares.max(axis=0))
+# bytes of victim words gathered per chunk of orders: 0.25-4 MB chunks ran alike (2 cores,
+# numpy 2.4), and at 2 MB a batch of 100 orders over 50 sensors x 2000 victims is one chunk
+_CHUNK_BYTES = 2 << 20
+
+
+class _CountSample:
+    """Random deployment orders as histograms: ``hist[r - 1, c]`` counts the orders whose
+    first ``r`` sensors cover ``c`` victims. Order i is the i-th permutation of the sorted
+    sensor ids from ``default_rng(seed)``, however the draws are chunked."""
+
+    def __init__(self, mapping: Mapping[str, set], seed: int | None) -> None:
+        index: dict[Hashable, int] = {}
+        rows = [[index.setdefault(v, len(index)) for v in mapping[s]] for s in sorted(mapping)]
+        bits = np.zeros((len(rows), -(-len(index) // 64) * 64), dtype=bool)
+        for row, victims in zip(bits, rows):
+            row[victims] = True
+        self.words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)  # a row per sensor
+        self.union_size = len(index)
+        self.hist = np.zeros((len(rows), self.union_size + 1), dtype=np.int64)
+        self.size = 0
+        self._rng = np.random.default_rng(seed)
+        chunk = max(1, _CHUNK_BYTES // (self.words.nbytes + 8 * len(rows)))
+        self._covered = np.empty((chunk, *self.words.shape), dtype=np.uint64)
+        self._bits = np.empty(self._covered.shape, dtype=np.uint8)
+
+    def extend(self, n: int) -> None:
+        """Draw ``n`` more orders and add the victims each rank covers to the histograms."""
+        n_sensors = len(self.words)
+        offsets = np.arange(n_sensors) * (self.union_size + 1)
+        for start in range(0, n, len(self._covered)):
+            k = min(len(self._covered), n - start)
+            orders = self._rng.permuted(np.tile(np.arange(n_sensors), (k, 1)), axis=1)
+            # every index is in range; "clip" only spares take its buffered bounds check
+            covered = np.take(self.words, orders, axis=0, out=self._covered[:k], mode="clip")
+            np.bitwise_or.accumulate(covered, axis=1, out=covered)
+            counts = np.bitwise_count(covered, out=self._bits[:k]).sum(axis=2, dtype=np.int64)
+            self.hist += np.bincount((counts + offsets).ravel(), minlength=self.hist.size).reshape(self.hist.shape)
+        self.size += n
+
+    def shares(self, *quantiles: float) -> list[np.ndarray]:
+        """Per-rank shares at quantiles in [0, 1] (0 is the min, 1 the max), exactly as
+        ``np.percentile``'s linear method gives them; 1.0 when the union is empty."""
+        n, union = self.size, self.union_size
+        cumulative = self.hist.cumsum(axis=1)
+        out = []
+        for q in quantiles:
+            virtual = n * q + (1 - q) - 1
+            below = math.floor(virtual)
+            t = virtual - below
+            # the j-th smallest count (from 0) is how many cumulative counts are <= j;
+            # at j = n, past the largest, t is 0 and b drops out as in numpy's clipped read
+            a, b = ((cumulative <= j).sum(axis=1) / union if union else np.ones(len(cumulative))
+                    for j in (below, below + 1))
+            # numpy's _lerp works from b when t >= 0.5
+            out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+        return out
+
+    def statistics(self) -> RankStatistics:
+        return RankStatistics(self.size, self.union_size, *self.shares(0.0, 0.25, 0.5, 0.75, 1.0))
 
 
 def permutation_ensemble(
@@ -207,8 +238,8 @@ def permutation_ensemble(
         mapping: sensor -> victim set, non-empty.
         n_permutations: sample size; n! is unreachable already at modest
             sensor counts, the sample stands in for the full distribution.
-        seed: numpy Generator seed; a fixed seed makes the ensemble
-            reproducible bit for bit.
+        seed: numpy Generator seed, non-negative or None; a fixed seed makes
+            the ensemble reproducible bit for bit.
 
     Returns:
         RankStatistics with min / q1 / median / q3 / max of the coverage
@@ -216,7 +247,10 @@ def permutation_ensemble(
     """
     _check_mapping(mapping)
     _check_count("n_permutations", n_permutations)
-    return _rank_statistics(*_coverage_shares(mapping, n_permutations, seed))
+    _check_seed(seed)
+    sample = _CountSample(mapping, seed)
+    sample.extend(n_permutations)
+    return sample.statistics()
 
 
 @dataclass(frozen=True)
@@ -237,17 +271,15 @@ def _relative_delta(new: np.ndarray, old: np.ndarray) -> float:
     return float(out.max())
 
 
-def _stability_points(shares: np.ndarray, batch: int) -> list[StabilityPoint]:
-    """Min/median/max movement over the first batch, 2 * batch, ... rows of ``shares``."""
+def _stability_points(sample: _CountSample, n: int, batch: int) -> list[StabilityPoint]:
+    """Grow ``sample`` to batch, 2 * batch, ..., ``n`` orders and track its min/median/max movement."""
     points: list[StabilityPoint] = []
     prev = None
-    for done in [*range(batch, len(shares), batch), len(shares)]:
-        sample = shares[:done]
-        summary = (sample.min(axis=0), np.percentile(sample, 50, axis=0), sample.max(axis=0))
-        if prev is None:
-            points.append(StabilityPoint(done, 1.0, 1.0, 1.0))
-        else:
-            points.append(StabilityPoint(done, *map(_relative_delta, summary, prev)))
+    while sample.size < n:
+        sample.extend(min(batch, n - sample.size))
+        summary = sample.shares(0.0, 0.5, 1.0)
+        deltas = (1.0, 1.0, 1.0) if prev is None else map(_relative_delta, summary, prev)
+        points.append(StabilityPoint(sample.size, *deltas))
         prev = summary
     return points
 
@@ -260,18 +292,19 @@ def stability_trace(
 ) -> list[StabilityPoint]:
     """Grow one permutation sample batch by batch and track summary movement.
 
-    After every batch the per-rank min/median/max shares are recomputed over
-    all permutations drawn so far and compared to the previous batch's
-    values; each point records the worst relative change. The first point
-    has no predecessor and reports 1.0 by convention. Because batches extend
-    one sequential sample from one generator, the final summaries equal a
-    single :func:`permutation_ensemble` run at the same seed and size.
+    After every batch the per-rank min/median/max shares are read from
+    count histograms of all permutations drawn so far, at O(ranks x union)
+    per batch, and compared to the previous batch's values; each point
+    records the worst relative change. The first point has no predecessor
+    and reports 1.0 by convention. Because batches extend one sequential
+    sample from one generator, the final summaries equal a single
+    :func:`permutation_ensemble` run at the same seed and size.
     """
     _check_mapping(mapping)
     _check_count("batch", batch)
     _check_count("max_permutations", max_permutations)
-    shares, _ = _coverage_shares(mapping, max_permutations, seed)
-    return _stability_points(shares, batch)
+    _check_seed(seed)
+    return _stability_points(_CountSample(mapping, seed), max_permutations, batch)
 
 
 def _ensemble_and_trace(
@@ -282,8 +315,10 @@ def _ensemble_and_trace(
     _check_mapping(mapping)
     _check_count("n_permutations", n_permutations)
     _check_count("batch", batch)
-    shares, union_size = _coverage_shares(mapping, n_permutations, seed)
-    return _rank_statistics(shares, union_size), _stability_points(shares, batch)
+    _check_seed(seed)
+    sample = _CountSample(mapping, seed)
+    points = _stability_points(sample, n_permutations, batch)
+    return sample.statistics(), points
 
 
 def capture_recapture(sample_a: Iterable[Hashable], sample_b: Iterable[Hashable]) -> int:
@@ -327,18 +362,9 @@ def write_rank_statistics_csv(stats: RankStatistics, path: str) -> None:
     with open_artifact(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rank", "min", "q1", "median", "q3", "max"])
-        for rank in range(1, stats.n_ranks + 1):
-            i = rank - 1
-            writer.writerow(
-                [
-                    rank,
-                    float(stats.mins[i]),
-                    float(stats.q1[i]),
-                    float(stats.medians[i]),
-                    float(stats.q3[i]),
-                    float(stats.maxs[i]),
-                ]
-            )
+        columns = (stats.mins, stats.q1, stats.medians, stats.q3, stats.maxs)
+        for rank, *values in zip(range(1, stats.n_ranks + 1), *columns):
+            writer.writerow([rank, *map(float, values)])
 
 
 def write_stability_csv(points: Sequence[StabilityPoint], path: str) -> None:

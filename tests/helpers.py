@@ -13,7 +13,9 @@ the plain line-by-line parser and sort that :func:`honeyflow.load_trace`
 must stay equal to. The baseline-matching and carpet oracles are the
 nested loops that the prefix and time indexes of
 :mod:`honeyflow.completeness` and the bisect counts of
-:func:`honeyflow.detection.detect_carpet_bombing` replaced.
+:func:`honeyflow.detection.detect_carpet_bombing` replaced. The
+permutation-sample oracle is the shares matrix and ``np.percentile``
+summaries that the convergence count histograms replaced.
 """
 
 from __future__ import annotations
@@ -623,3 +625,59 @@ def oracle_detect_carpet_bombing(attacks, prefix_len: int = 24, min_flows: int =
         carpets.append(AttackEvent.from_flows(victim, chosen))
     carpets.sort(key=lambda e: (e.first_ts, e.victim.identity, e.flows[0].key.sort_key()))
     return carpets
+
+
+# -- permutation-sample oracle -------------------------------------------------
+#
+# The shares matrix the convergence sampler kept before it counted orders
+# into per-rank histograms: one Python OR-accumulation per order, summaries
+# from np.percentile, and a stability trace that re-summarises the whole
+# prefix at every batch. permutation_ensemble, stability_trace and
+# _ensemble_and_trace must stay byte-identical to these.
+
+def oracle_coverage_shares(mapping, n, seed):
+    """Shares covered by the first r sensors (column r - 1) of ``n`` random orders, and the union."""
+    from itertools import accumulate
+    from operator import or_
+
+    import numpy as np
+
+    masks, union_size = _victim_masks(mapping)
+    rng = np.random.default_rng(seed)
+    shares = np.empty((n, len(masks)), dtype=np.float64)
+    for row in shares:
+        order = map(masks.__getitem__, rng.permutation(len(masks)).tolist())
+        row[:] = [union.bit_count() for union in accumulate(order, or_)]
+    if union_size:
+        shares /= union_size
+    else:
+        shares.fill(1.0)
+    return shares, union_size
+
+
+def oracle_rank_statistics(shares, union_size):
+    import numpy as np
+
+    from honeyflow.convergence import RankStatistics
+
+    q1, medians, q3 = np.percentile(shares, [25, 50, 75], axis=0)
+    return RankStatistics(len(shares), union_size, shares.min(axis=0), q1, medians, q3, shares.max(axis=0))
+
+
+def oracle_stability_points(shares, batch):
+    """Min/median/max movement over the first batch, 2 * batch, ... rows of ``shares``."""
+    import numpy as np
+
+    from honeyflow.convergence import StabilityPoint, _relative_delta
+
+    points = []
+    prev = None
+    for done in [*range(batch, len(shares), batch), len(shares)]:
+        sample = shares[:done]
+        summary = (sample.min(axis=0), np.percentile(sample, 50, axis=0), sample.max(axis=0))
+        if prev is None:
+            points.append(StabilityPoint(done, 1.0, 1.0, 1.0))
+        else:
+            points.append(StabilityPoint(done, *map(_relative_delta, summary, prev)))
+        prev = summary
+    return points

@@ -189,6 +189,7 @@ def test_converge_draws_one_sample(tmp_path, corpus_dir, monkeypatch):
     [
         (("--n-permutations", "0", "--batch", "0"), "n_permutations must be >= 1: 0"),
         (("--n-permutations", "5", "--batch", "0"), "batch must be >= 1: 0"),
+        (("--seed", "-1"), "seed must be >= 0: -1"),
     ],
 )
 def test_converge_count_errors_exit_2(tmp_path, corpus_dir, capsys, flags, message):

@@ -1,13 +1,24 @@
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import exhaustive_rank_statistics, literal_rank_statistics
+from helpers import (
+    exhaustive_rank_statistics,
+    literal_rank_statistics,
+    oracle_coverage_shares,
+    oracle_rank_statistics,
+    oracle_stability_points,
+)
+from honeyflow import convergence
 from honeyflow.convergence import (
     GREEDY_MAX_COVERAGE,
-    _coverage_shares,
+    _CountSample,
     _ensemble_and_trace,
     GREEDY_STATIC_SORT,
     EstimateUndefinedError,
@@ -133,6 +144,9 @@ def test_ensemble_validation():
         permutation_ensemble({})
     with pytest.raises(ValueError):
         permutation_ensemble({"a": {1}}, n_permutations=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0: -1$"):
+        permutation_ensemble({"a": {1}}, seed=-1)
+    assert permutation_ensemble({"a": {1}}, n_permutations=2, seed=None).n_permutations == 2
 
 
 def test_oracle_forms_agree_exactly():
@@ -172,12 +186,17 @@ def test_sampler_mean_matches_exact_expected_coverage():
         ]
     )
 
-    shares, union_size = _coverage_shares(mapping, 4000, seed=0)
-    assert union_size == union and shares.shape == (4000, n)
-    stderr = shares.std(axis=0, ddof=1) / math.sqrt(len(shares))
-    deviation = np.abs(shares.mean(axis=0) - expected)
+    sample = _CountSample(mapping, seed=0)
+    sample.extend(4000)
+    assert sample.union_size == union and sample.hist.shape == (n, union + 1)
+    assert (sample.hist.sum(axis=1) == 4000).all()
+    shares = np.arange(union + 1) / union
+    mean = sample.hist @ shares / 4000
+    variance = (sample.hist @ shares**2 - 4000 * mean**2) / (4000 - 1)
+    stderr = np.sqrt(np.maximum(variance, 0.0)) / math.sqrt(4000)
+    deviation = np.abs(mean - expected)
     assert (deviation <= 5 * stderr + 1e-12).all(), float((deviation / (stderr + 1e-12)).max())
-    assert shares[:, -1].min() == 1.0
+    assert sample.hist[-1, union] == 4000
 
 
 def test_one_sample_gives_ensemble_and_trace():
@@ -197,6 +216,100 @@ def test_one_sample_gives_ensemble_and_trace():
         _ensemble_and_trace(mapping, 0, 0, 0)
     with pytest.raises(ValueError, match="^batch must be >= 1: 0$"):
         _ensemble_and_trace(mapping, 5, 0, 0)
+    with pytest.raises(ValueError, match="^seed must be >= 0: -1$"):
+        _ensemble_and_trace(mapping, 5, 1, -1)
+
+
+def _assert_matches_oracle(mapping, n, batch, seed):
+    shares, union_size = oracle_coverage_shares(mapping, n, seed)
+    expected = oracle_rank_statistics(shares, union_size)
+    expected_points = oracle_stability_points(shares, batch)
+    stats, points = _ensemble_and_trace(mapping, n, batch, seed)
+    for got in (stats, permutation_ensemble(mapping, n_permutations=n, seed=seed)):
+        assert (got.n_permutations, got.union_size) == (n, union_size)
+        for field in ("mins", "q1", "medians", "q3", "maxs"):
+            assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert points == expected_points
+    assert stability_trace(mapping, batch=batch, max_permutations=n, seed=seed) == expected_points
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rnd=st.randoms(use_true_random=False),
+    n_sensors=st.integers(1, 12),
+    union=st.sampled_from([0, 1, 2, 7, 63, 64, 65, 128]),
+    n=st.integers(1, 40),
+    batch=st.integers(1, 50),
+    seed=st.integers(0, 2**32),
+    chunk_bytes=st.sampled_from([1, 200, None]),
+)
+@example(rnd=random.Random(0), n_sensors=1, union=0, n=1, batch=1, seed=0, chunk_bytes=None)
+@example(rnd=random.Random(1), n_sensors=1, union=64, n=3, batch=7, seed=1, chunk_bytes=1)
+@example(rnd=random.Random(2), n_sensors=5, union=0, n=6, batch=4, seed=2, chunk_bytes=None)
+@example(rnd=random.Random(3), n_sensors=9, union=65, n=4, batch=1, seed=3, chunk_bytes=1)
+@example(rnd=random.Random(4), n_sensors=9, union=128, n=5, batch=2, seed=4, chunk_bytes=None)
+@example(rnd=random.Random(5), n_sensors=9, union=63, n=2, batch=40, seed=5, chunk_bytes=200)
+def test_sample_equals_shares_matrix_oracle(rnd, n_sensors, union, n, batch, seed, chunk_bytes):
+    # every victim 0..union-1 is seen by at least one sensor, so the union is exact;
+    # sensors are inserted out of id order, and orders permute the sorted ids
+    sensors = [f"s{i:02d}" for i in range(n_sensors)]
+    rnd.shuffle(sensors)
+    mapping = {sensor: set() for sensor in sensors}
+    p = rnd.random()
+    for victim in range(union):
+        seen = [s for s in sensors if rnd.random() < p] or [rnd.choice(sensors)]
+        for sensor in seen:
+            mapping[sensor].add(victim)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_bytes is not None:
+            patch.setattr(convergence, "_CHUNK_BYTES", chunk_bytes)
+        _assert_matches_oracle(mapping, n, batch, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    union=st.sampled_from([0, 1, 3, 7, 64, 2000]),
+    data=st.data(),
+)
+def test_histogram_percentiles_equal_numpy(union, data):
+    # any counts, not only sampled ones, so neighbouring order statistics
+    # differ often and both of numpy's interpolation branches round visibly
+    n = data.draw(st.integers(1, 30), label="n")
+    ranks = data.draw(st.integers(1, 4), label="ranks")
+    counts = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, union), min_size=ranks, max_size=ranks),
+                           min_size=n, max_size=n), label="counts")
+    )
+    sample = _CountSample({f"s{i}": {0} for i in range(ranks)}, seed=0)
+    sample.union_size, sample.size = union, n
+    sample.hist = np.stack([np.bincount(column, minlength=union + 1) for column in counts.T])
+    shares = counts / union if union else np.ones(counts.shape)
+    expected = [shares.min(axis=0), *np.percentile(shares, [25, 50, 75], axis=0), shares.max(axis=0)]
+    for got, want in zip(sample.shares(0.0, 0.25, 0.5, 0.75, 1.0), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sample_equals_oracle_on_platform_map():
+    # 50 sensors and a 2000-victim union: 32 words per sensor and several chunks per batch
+    mapping = synth_sensor_victim_map(50, 2000, 0.165, seed=0)
+    _assert_matches_oracle(mapping, 301, 100, 9)
+
+
+def test_ensemble_and_trace_scale_linearly():
+    # 10^5 orders in batches of 100: the shares matrix alone would be 40 MB,
+    # and re-summarising every prefix would take minutes
+    mapping = synth_sensor_victim_map(50, 2000, 0.165, seed=0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        stats, points = _ensemble_and_trace(mapping, 10**5, 100, 0)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.n_permutations == 10**5 and len(points) == 1000
+    assert elapsed <= 15.0, elapsed
+    assert peak <= 16 * 2**20, peak
 
 
 def test_empty_union_shares_are_one():
@@ -241,6 +354,8 @@ def test_stability_validation():
         stability_trace({"a": {1}}, batch=0)
     with pytest.raises(ValueError):
         stability_trace({"a": {1}}, max_permutations=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0: -1$"):
+        stability_trace({"a": {1}}, seed=-1)
 
 
 def test_capture_recapture_values():
