@@ -1,10 +1,11 @@
 """Analysis toolkit for amplification-DDoS honeypot telemetry.
 
-The pipeline: parse packet events (:mod:`honeyflow.events`), group them
-into flows under a configurable identifier and idle timeout
-(:mod:`honeyflow.flows`), raise attack events via packet-load thresholds
-(:mod:`honeyflow.detection`), then study the platform itself: threshold
-sensitivity (:mod:`honeyflow.sweep`), sensor-count convergence
+The pipeline: parse packet events (:mod:`honeyflow.events`) into a
+columnar trace (:mod:`honeyflow.trace`), group them into flows under a
+configurable identifier and idle timeout (:mod:`honeyflow.flows`), raise
+attack events via packet-load thresholds (:mod:`honeyflow.detection`),
+then study the platform itself: threshold sensitivity
+(:mod:`honeyflow.sweep`), sensor-count convergence
 (:mod:`honeyflow.convergence`), coverage against external ground truth
 (:mod:`honeyflow.completeness`), and the attacker's evasion arithmetic
 (:mod:`honeyflow.evasion`). :mod:`honeyflow.synth` builds labeled corpora
@@ -95,5 +96,6 @@ from .synth import (
     synth_sensor_victim_map,
     write_corpus,
 )
+from .trace import Trace, as_trace
 
 __version__ = "0.1.0"

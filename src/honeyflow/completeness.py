@@ -28,19 +28,24 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .detection import (
     GRANULARITY_ADDRESS,
     AttackEvent,
     AttackThresholds,
     DetectionPreset,
-    detect_attacks,
+    _attack_clusters,
+    _cluster_packets,
+    _distinct_pairs,
     victims,
 )
 from .events import BaselineAttack, PacketEvent, ScannerList, ipv4_to_int, open_artifact, prefix_net_mask
 from .flows import FlowScheme
+from .trace import as_trace
 
 __all__ = [
     "CLASS_ATTACK",
@@ -120,6 +125,7 @@ class UpperBoundFragment:
 
 
 _Key = tuple  # (port, mask, net)
+_NO_PORT = 1 << 16  # above every port
 _Index = dict[_Key, tuple[list[float], list[float]]]
 _start, _end = itemgetter(0), itemgetter(1)
 
@@ -156,16 +162,21 @@ def _meets(index: _Index, key: _Key, lo: float, hi: float) -> bool:
     return pos > 0 and reach[pos - 1] >= lo
 
 
-def _record_keys(baseline: Sequence[BaselineAttack]) -> tuple[list[list[_Key]], dict[_Key, list], list[int]]:
-    """Per record, its key per port and prefix; an empty list under each of
-    those keys; and their masks in ascending order. Observations are filed
-    only under these keys, so those no record can see are never stored."""
+def _record_keys(baseline: Sequence[BaselineAttack]) -> list[list[_Key]]:
+    """Per record, its key per port and prefix."""
     keys = []
     for record in baseline:
         nets = [prefix_net_mask(prefix) for prefix in record.prefixes]
         keys.append([(port, mask, net) for port in record.protocols or (None,) for net, mask in nets])
+    return keys
+
+
+def _filed(keys: list[list[_Key]]) -> tuple[dict[_Key, list], list[int]]:
+    """An empty list under each key of the records' ``keys``, and their masks
+    in ascending order. Observations are filed only under these keys, so
+    those no record can see are never stored."""
     filed: dict[_Key, list] = {key: [] for record_keys in keys for key in record_keys}
-    return keys, filed, sorted({mask for _, mask, _ in filed})
+    return filed, sorted({mask for _, mask, _ in filed})
 
 
 def _covered_ports(
@@ -186,6 +197,7 @@ def match_baseline(
     baseline: Sequence[BaselineAttack],
     *,
     slack_s: float = 0.0,
+    _keys: list[list[_Key]] | None = None,
 ) -> OverlapReport:
     """Match detected attack events against baseline records.
 
@@ -200,7 +212,8 @@ def match_baseline(
     """
     if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
-    keys, filed, masks = _record_keys(baseline)
+    keys = _record_keys(baseline) if _keys is None else _keys
+    filed, masks = _filed(keys)
     record_spans: dict[_Key, list[tuple[float, float]]] = {}
     for record, record_keys in zip(baseline, keys):
         span = (record.start_ts - slack_s, record.end_ts + slack_s)
@@ -254,10 +267,11 @@ def match_baseline(
 
 
 def upper_bound(
-    events: Sequence[PacketEvent],
+    events: Iterable[PacketEvent],
     baseline: Sequence[BaselineAttack],
     *,
     slack_s: float = 0.0,
+    _keys: list[list[_Key]] | None = None,
 ) -> UpperBoundFragment:
     """Packet-level coverage: the detector's matching rule with every packet
     believed as a zero-length attack on its source address.
@@ -270,21 +284,27 @@ def upper_bound(
     """
     if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
-    # packets are zero-length spans; filed in ts order, the stamps under a
-    # key are their own running maximum
-    keys, stamps, masks = _record_keys(baseline)
-    values: dict[str, int] = {}
-    for event in sorted(events, key=attrgetter("ts")):
-        value = values.get(event.src_ip)
-        if value is None:
-            value = values[event.src_ip] = ipv4_to_int(event.src_ip)
-        for mask in masks:
-            net = value & mask
-            for port in (event.dst_port, None):
-                times = stamps.get((port, mask, net))
-                if times is not None:
-                    times.append(event.ts)
-    index = {key: (times, times) for key, times in stamps.items() if times}
+    trace = as_trace(events)
+    keys = _record_keys(baseline) if _keys is None else _keys
+    filed, masks = _filed(keys)
+    # packets are zero-length spans; in ts order, the stamps under a key are
+    # their own running maximum. Per mask, a key (port, mask, net) is coded
+    # as net << 17 | port, with _NO_PORT for port None.
+    values = trace.address_values[trace.src].astype(np.int64)
+    index = {}
+    for mask in masks:
+        key_of = {net << 17 | (_NO_PORT if port is None else port): (port, m, net)
+                  for port, m, net in filed if m == mask}
+        nets = (values & mask) << 17
+        for codes in (nets | trace.dst_port, nets | _NO_PORT):
+            hit = np.isin(codes, np.fromiter(key_of, np.int64, len(key_of)))
+            codes, stamps = codes[hit], trace.ts[hit]
+            order = np.lexsort((stamps, codes))
+            codes, stamps = codes[order], stamps[order].tolist()
+            starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
+            for code, a, b in zip(codes[starts].tolist(), starts, starts[1:] + [len(stamps)]):
+                times = stamps[a:b]
+                index[key_of[code]] = (times, times)
     covered = _covered_ports(baseline, keys, index, slack_s)
     fragment = UpperBoundFragment()
     for record, ports in zip(baseline, covered):
@@ -299,14 +319,15 @@ def upper_bound(
 
 def overlap_report(
     attacks: Sequence[AttackEvent],
-    events: Sequence[PacketEvent],
+    events: Iterable[PacketEvent],
     baseline: Sequence[BaselineAttack],
     *,
     slack_s: float = 0.0,
 ) -> OverlapReport:
     """Detector matching and packet-level upper bound in one report."""
-    report = match_baseline(attacks, baseline, slack_s=slack_s)
-    fragment = upper_bound(events, baseline, slack_s=slack_s)
+    keys = _record_keys(baseline)
+    report = match_baseline(attacks, baseline, slack_s=slack_s, _keys=keys)
+    fragment = upper_bound(events, baseline, slack_s=slack_s, _keys=keys)
     for port, count in fragment.per_protocol.items():
         report.per_protocol.setdefault(port, ProtocolOverlap()).matched_upper_bound = count
     report.upper_with_ports = fragment.covered_with_ports
@@ -385,19 +406,19 @@ def classify_sources(
     and mutually exclusive over the list by construction. Shares are
     fractions of the full scanner list.
     """
-    stream = list(events)
+    trace = as_trace(events)
     listed = scanners.sources
-    packet_counts = {source: 0 for source in listed}
-    for event in stream:
-        if event.src_ip in packet_counts:
-            packet_counts[event.src_ip] += 1
-
-    attacks = detect_attacks(stream, DetectionPreset(thresholds.name, scheme, thresholds))
-    event_counts = {source: 0 for source in listed}
-    for attack in attacks:
-        sources = {p.src_ip for f in attack.flows for p in f.packets}
-        for source in sources & listed:
-            event_counts[source] += 1
+    packets = np.bincount(trace.src, minlength=len(trace.addresses))
+    attack_events = np.zeros_like(packets)
+    clusters = _attack_clusters(trace, DetectionPreset(thresholds.name, scheme, thresholds))
+    if clusters is not None:
+        _, _, columns, members, heads = clusters
+        per_packet, attack_packets = _cluster_packets(columns, members, heads)
+        _, sources = _distinct_pairs(per_packet, attack_packets.src)  # each event's sources once
+        attack_events += np.bincount(sources, minlength=len(trace.addresses))
+    code = {source: index for index, source in enumerate(trace.addresses) if source in listed}
+    packet_counts = {source: int(packets[code[source]]) if source in code else 0 for source in listed}
+    event_counts = {source: int(attack_events[code[source]]) if source in code else 0 for source in listed}
 
     classes = {}
     for source in listed:

@@ -22,13 +22,15 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from itertools import pairwise
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .events import PacketEvent, int_to_ipv4, ipv4_to_int, open_artifact
-from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _rank_codes
+from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _positions
+from .trace import Trace, as_trace
 
 __all__ = [
     "COMPARE_AT_LEAST",
@@ -260,7 +262,9 @@ class _FlowColumns(NamedTuple):
 
     ``group`` codes each flow's key without its sensor fields when per-sensor
     flows are clustered, else it is None. ``distinct(attr)`` gives the (flow,
-    value code) pairs of the distinct sensors or dst ports in each flow.
+    value code) pairs of the distinct sensors or dst ports in each flow: a
+    sensor's code indexes the trace's ``sensors`` table, a port is its own
+    code. ``packets(flows)`` gives the packets of those flows, flow by flow.
     """
 
     sizes: np.ndarray
@@ -269,6 +273,7 @@ class _FlowColumns(NamedTuple):
     group: np.ndarray | None
     dst_port_keyed: bool
     distinct: Callable[[str], tuple[np.ndarray, np.ndarray]]
+    packets: Callable[[np.ndarray], Trace]
 
 
 def _distinct_pairs(bins: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,6 +285,13 @@ def _distinct_pairs(bins: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
     return pairs[first] // width, pairs[first] % width
 
 
+def _rank_codes(values: list) -> tuple[np.ndarray, list]:
+    """Code each value by its rank among the sorted distinct values; returns the codes and those values."""
+    labels = sorted(set(values))
+    rank = {label: code for code, label in enumerate(labels)}
+    return np.fromiter(map(rank.__getitem__, values), np.int32, len(values)), labels
+
+
 def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds) -> _FlowColumns:
     """The flows beginning at ``starts`` of a keyed split, one timeout's worth."""
     stops = np.append(starts[1:], len(split.ts))
@@ -287,7 +299,7 @@ def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThr
     group = None
     if thresholds.min_sensors > 1 and split.scheme.scope == PER_SENSOR:
         # the key codes but sensor and dst address in mixed radix (< 2**63 for
-        # any trace with fewer than 2**31 sources: at most 2**16 codes per port)
+        # any trace with fewer than 2**31 addresses: 2**16 codes per port)
         group = np.zeros(len(starts), dtype=np.int64)
         for attr in split.key_attrs:
             if attr not in ("sensor", "dst_ip"):
@@ -298,13 +310,19 @@ def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThr
             return np.arange(len(starts)), split.codes(attr)[starts]
         return _distinct_pairs(np.repeat(np.arange(len(starts)), sizes), split.codes(attr))
 
-    return _FlowColumns(sizes, split.ts[starts], split.ts[stops - 1], group, split.scheme.use_dst_port, distinct)
+    return _FlowColumns(
+        sizes, split.ts[starts], split.ts[stops - 1], group, split.scheme.use_dst_port, distinct,
+        lambda flows: split.packets(starts[flows], stops[flows]),
+    )
 
 
 def _flow_columns(flows: Sequence[Flow], thresholds: AttackThresholds) -> _FlowColumns:
     """Assembled flows as the threshold rule reads them."""
-    packets = list(map(attrgetter("packets"), flows))
-    sizes = np.fromiter(map(len, packets), np.int64, len(flows))
+    runs = list(map(attrgetter("packets"), flows))
+    packets = Trace.concat(runs)
+    sizes = np.fromiter(map(len, runs), np.int64, len(runs))
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
     group = None
     if thresholds.min_sensors > 1 and flows[0].key.sensor is not None:
         group = np.zeros(len(flows), dtype=np.int64)
@@ -313,16 +331,12 @@ def _flow_columns(flows: Sequence[Flow], thresholds: AttackThresholds) -> _FlowC
             group = group * len(labels) + codes
 
     def distinct(attr: str) -> tuple[np.ndarray, np.ndarray]:
-        codes = _rank_codes([getattr(packet, attr) for run in packets for packet in run])[0]
-        return _distinct_pairs(np.repeat(np.arange(len(flows)), sizes), codes)
+        return _distinct_pairs(np.repeat(np.arange(len(flows)), sizes), getattr(packets, attr))
 
+    ts = packets.ts
     return _FlowColumns(
-        sizes,
-        np.fromiter(map(attrgetter("ts"), map(itemgetter(0), packets)), np.float64, len(flows)),
-        np.fromiter(map(attrgetter("ts"), map(itemgetter(-1), packets)), np.float64, len(flows)),
-        group,
-        flows[0].key.dst_port is not None,
-        distinct,
+        sizes, ts[begins], ts[ends - 1], group, flows[0].key.dst_port is not None, distinct,
+        lambda members: packets.take(_positions(begins[members], ends[members])),
     )
 
 
@@ -383,13 +397,48 @@ def _attack_runs(
     return runs
 
 
-def _attack_events(members: list[Flow], heads: np.ndarray) -> list[AttackEvent]:
-    """One attack event per cluster of ``members`` beginning at ``heads``, sorted by (first_ts, victim)."""
-    bounds = heads.tolist() + [len(members)]
-    events = [
-        AttackEvent.from_flows(_victim_of_key_src(members[a].key.src), members[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
+def _cluster_packets(columns: _FlowColumns, members: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, Trace]:
+    """The packets of the flows ``members``, flow by flow, and the cluster number of each."""
+    cluster = np.zeros(len(members), dtype=np.intp)
+    cluster[heads[1:]] = 1
+    return np.repeat(np.cumsum(cluster), columns.sizes[members]), columns.packets(members)
+
+
+def _cluster_sets(clusters: np.ndarray, codes: np.ndarray, labels: Sequence | None, n: int) -> list[frozenset]:
+    """Per cluster 0..n-1, the set of the labels of its codes (the codes themselves without labels)."""
+    clusters, codes = _distinct_pairs(clusters, codes)
+    values = codes.tolist() if labels is None else [labels[code] for code in codes.tolist()]
+    cuts = np.searchsorted(clusters, np.arange(n + 1)).tolist()
+    return [_shared_set(frozenset(values[a:b])) for a, b in pairwise(cuts)]
+
+
+def _attack_events(
+    columns: _FlowColumns, members: np.ndarray, heads: np.ndarray, flows: list[Flow]
+) -> list[AttackEvent]:
+    """One attack event per cluster of ``members`` beginning at ``heads``, sorted by (first_ts, victim).
+
+    ``flows`` are the Flows of ``members``. Each event equals
+    :meth:`AttackEvent.from_flows` on its cluster; its counts, span and sets
+    are read from the packet columns of all clusters at once.
+    """
+    if not len(members):
+        return []
+    sizes = columns.sizes[members]
+    first_ts, last_ts = columns.first_ts[members], columns.last_ts[members]
+    per_packet, packets = _cluster_packets(columns, members, heads)
+    sensors = _cluster_sets(per_packet, packets.sensor, packets.sensors, len(heads))
+    ports = _cluster_sets(per_packet, packets.dst_port, None, len(heads))
+    totals = np.add.reduceat(sizes, heads).tolist()
+    firsts = np.minimum.reduceat(first_ts, heads).tolist()
+    lasts = np.maximum.reduceat(last_ts, heads).tolist()
+    starts = first_ts.tolist()
+    events = []
+    for k, (a, b) in enumerate(pairwise(heads.tolist() + [len(members)])):
+        order = range(a, b) if b - a == 1 else sorted(range(a, b), key=lambda i: (starts[i], flows[i].key.sort_key()))
+        events.append(AttackEvent(
+            _victim_of_key_src(flows[a].key.src), tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
+            sensors[k], ports[k],
+        ))
     events.sort(key=_event_sort_key)
     return events
 
@@ -417,8 +466,25 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
     """
     if not flows:
         return []
-    ((members, heads),) = _attack_runs(_flow_columns(flows, thresholds), [thresholds])
-    return _attack_events([flows[i] for i in members.tolist()], heads)
+    columns = _flow_columns(flows, thresholds)
+    ((members, heads),) = _attack_runs(columns, [thresholds])
+    return _attack_events(columns, members, heads, [flows[i] for i in members.tolist()])
+
+
+def _attack_clusters(
+    trace: Trace, preset: DetectionPreset
+) -> tuple[_KeyedSplit, np.ndarray, _FlowColumns, np.ndarray, np.ndarray] | None:
+    """The preset's flows over ``trace`` and its attacking clusters: (split,
+    flow starts, flow columns, members, heads) as :func:`_attack_runs` gives
+    them, or None for a trace with no flows."""
+    thresholds = preset.thresholds
+    split = _KeyedSplit(trace, preset.scheme)
+    starts = split.flow_starts(thresholds.idle_timeout)
+    if not len(starts):
+        return None
+    columns = _split_columns(split, starts, thresholds)
+    ((members, heads),) = _attack_runs(columns, [thresholds])
+    return split, starts, columns, members, heads
 
 
 def detect_attacks(
@@ -431,15 +497,12 @@ def detect_attacks(
     included, but the trace is keyed once and only the flows of attacking
     clusters are built.
     """
-    thresholds = preset.thresholds
-    split = _KeyedSplit(list(events), preset.scheme)
-    starts = split.flow_starts(thresholds.idle_timeout)
-    if not len(starts):
+    clusters = _attack_clusters(as_trace(events), preset)
+    if clusters is None:
         return []
-    columns = _split_columns(split, starts, thresholds)
-    ((members, heads),) = _attack_runs(columns, [thresholds])
+    split, starts, columns, members, heads = clusters
     first = starts[members]
-    return _attack_events(split.flows(first, first + columns.sizes[members]), heads)
+    return _attack_events(columns, members, heads, split.flows(first, first + columns.sizes[members]))
 
 
 def victims(attacks: Iterable[AttackEvent]) -> set[Victim]:

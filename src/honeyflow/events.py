@@ -18,7 +18,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 __all__ = [
     "FormatError",
@@ -200,6 +203,18 @@ _set_ts, _set_sensor, _set_src_ip, _set_src_port, _set_dst_ip, _set_dst_port = (
 )
 
 
+def _event(ts: float, sensor: str, src_ip: str, src_port: int, dst_ip: str, dst_port: int) -> PacketEvent:
+    """A PacketEvent of values already checked."""
+    event = object.__new__(PacketEvent)
+    _set_ts(event, ts)
+    _set_sensor(event, sensor)
+    _set_src_ip(event, src_ip)
+    _set_src_port(event, src_port)
+    _set_dst_ip(event, dst_ip)
+    _set_dst_port(event, dst_port)
+    return event
+
+
 def _load_record(line: str, line_no: int, kind: str):
     """``json.loads`` with every decoding failure as a FormatError naming the line."""
     try:
@@ -296,14 +311,7 @@ def _parse_event(
     if dst is None:
         dst = addresses.setdefault(dst_ip, _check_address(record, "dst_ip", line_no))
 
-    event = object.__new__(PacketEvent)
-    _set_ts(event, float(ts))
-    _set_sensor(event, sensors.setdefault(sensor, sensor))
-    _set_src_ip(event, src)
-    _set_src_port(event, src_port)
-    _set_dst_ip(event, dst)
-    _set_dst_port(event, dst_port)
-    return event
+    return _event(float(ts), sensors.setdefault(sensor, sensor), src, src_port, dst, dst_port)
 
 
 def parse_event_line(line: str, line_no: int = 0) -> PacketEvent:
@@ -334,18 +342,28 @@ def _nonblank_lines(path: str) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
-def load_trace(path: str) -> list[PacketEvent]:
-    """Load a JSONL trace and return it in canonical order.
+def load_trace(path: str) -> Trace:
+    """Load a JSONL trace and return it in canonical order, as a :class:`~honeyflow.trace.Trace`.
 
     Events are sorted by (ts, sensor, src_ip, src_port, dst_port), stably,
     so downstream flow assembly sees a time-ordered stream regardless of
     how the file was produced.
+
+    Lines are decoded in chunks, one ``json.loads`` per chunk, and checked
+    column by column. If any chunk fails, the whole file goes through the
+    per-line parser from line 1 instead, so the first bad line raises the
+    same :class:`FormatError` either way.
     """
-    addresses: dict[str, str] = {}
-    sensors: dict[str, str] = {}
-    events = [_parse_event(line, line_no, addresses, sensors) for line_no, line in _nonblank_lines(path)]
-    events.sort(key=trace_sort_key)
-    return events
+    from .trace import Trace, _read_trace  # the trace module builds on this one
+
+    trace = _read_trace(path, ipv4_to_int)
+    if trace is None:
+        addresses: dict[str, str] = {}
+        sensors: dict[str, str] = {}
+        events = [_parse_event(line, line_no, addresses, sensors) for line_no, line in _nonblank_lines(path)]
+        events.sort(key=trace_sort_key)
+        trace = Trace.from_events(events)
+    return trace
 
 
 def write_trace(events: Iterable[PacketEvent], path: str) -> None:

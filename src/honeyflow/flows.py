@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import PacketEvent, int_to_ipv4, ipv4_to_int
+from .events import PacketEvent, int_to_ipv4
+from .trace import Trace, as_trace
 
 __all__ = [
     "PER_SENSOR",
@@ -100,18 +100,9 @@ class FlowKey(NamedTuple):
         )
 
 
-def _src_label(scheme: FlowScheme) -> Callable[[str], str] | None:
-    """The source as the scheme keys it: the CIDR of its prefix, or None for the address itself."""
-    if not scheme.use_src_prefix:
-        return None
-    plen = scheme.src_prefix_len
-    mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
-    return lambda addr: f"{int_to_ipv4(ipv4_to_int(addr) & mask)}/{plen}"
-
-
 def flow_key(event: PacketEvent, scheme: FlowScheme) -> FlowKey:
     """The flow identifier of one event under ``scheme``."""
-    return _KeyedSplit([event], scheme)._keys(np.zeros(1, np.intp))[0]
+    return _KeyedSplit(as_trace([event]), scheme)._keys(np.zeros(1, np.intp))[0]
 
 
 class Flow(NamedTuple):
@@ -119,11 +110,13 @@ class Flow(NamedTuple):
 
     Packets are in time order, so span bounds are just the end packets.
     Derived views (sensors, ports) are computed on demand; most flows are
-    only ever counted.
+    only ever counted. Assembled flows hold their packets as a
+    :class:`~honeyflow.trace.Trace` selection, whose events are built only
+    when read.
     """
 
     key: FlowKey
-    packets: tuple[PacketEvent, ...]
+    packets: Sequence[PacketEvent]
 
     @property
     def first_ts(self) -> float:
@@ -148,51 +141,60 @@ class Flow(NamedTuple):
 
 # PacketEvent attributes behind the FlowKey fields, position by position
 _KEY_ATTRS = ("sensor", "src_ip", "dst_ip", "src_port", "dst_port")
+# a port is its own code
+_PORTS = range(65536)
+# flows built per block of their start positions
+_BLOCK = 1024
 
 
-def _rank_codes(values: list, label: Callable | None = None) -> tuple[np.ndarray, list]:
-    """Code each value by the rank of its label among the sorted distinct labels.
+def _positions(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:stops[i]``, range after range."""
+    sizes = stops - starts
+    begins = np.cumsum(sizes) - sizes  # where each range begins in the result
+    return np.arange(sizes.sum()) + np.repeat(starts - begins, sizes)
 
-    Returns the codes and the sorted labels, so ``labels[code]`` is a
-    value's label. Without ``label`` a value is its own label.
-    """
-    label_of = {value: value if label is None else label(value) for value in set(values)}
-    labels = sorted(set(label_of.values()))
-    rank = {lab: code for code, lab in enumerate(labels)}
-    code_of = {value: rank[lab] for value, lab in label_of.items()}
-    return np.fromiter(map(code_of.__getitem__, values), np.int32, len(values)), labels
+
+def _prefix_codes(trace: Trace, plen: int) -> tuple[np.ndarray, list[str]]:
+    """The sources of ``trace`` coded by the rank of their /plen CIDR string, and the sorted strings."""
+    mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    nets, net_of_address = np.unique(trace.address_values & mask, return_inverse=True)
+    cidrs = [f"{int_to_ipv4(net)}/{plen}" for net in nets.tolist()]
+    by_label = sorted(range(len(cidrs)), key=cidrs.__getitem__)
+    rank = np.empty(len(cidrs), np.int32)
+    rank[by_label] = np.arange(len(cidrs), dtype=np.int32)
+    return rank[net_of_address][trace.src], [cidrs[i] for i in by_label]
 
 
 class _KeyedSplit:
-    """An event list keyed and sorted once for one scheme.
+    """A trace keyed and sorted once for one scheme.
 
     Each selected key field is coded by the rank of its value (for the
     source: of its address or CIDR string), so ordering by the codes is
-    ordering by :meth:`FlowKey.sort_key`. One stable sort by (key, ts) puts
-    each key's packets together in stream order; the key-change mask and the
-    inter-packet gaps of that order are computed once. A flow is then a run
-    of the order that starts at a key change or at a gap over the idle
-    timeout, so every timeout splits the same arrays and nothing is keyed
-    again.
+    ordering by :meth:`FlowKey.sort_key`. The trace's own codes are such
+    ranks; a prefix-keyed source is ranked over the trace's address table.
+    One stable sort by (key, ts) puts each key's packets together in stream
+    order; the key-change mask and the inter-packet gaps of that order are
+    computed once. A flow is then a run of the order that starts at a key
+    change or at a gap over the idle timeout, so every timeout splits the
+    same arrays and nothing is keyed again.
     """
 
-    def __init__(self, events: list[PacketEvent], scheme: FlowScheme) -> None:
-        self.events = events
+    def __init__(self, trace: Trace, scheme: FlowScheme) -> None:
+        self.trace = trace
         self.scheme = scheme
-        ts = np.fromiter(map(attrgetter("ts"), events), np.float64, len(events))
+        ts = trace.ts
         regressed = np.flatnonzero(ts[1:] < ts[:-1])
         # position of the first event whose ts is below its predecessor's, or 0
         self._regressed_at = int(regressed[0]) + 1 if regressed.size else 0
         used = (scheme.scope == PER_SENSOR, True, scheme.use_dst_addr, scheme.use_src_port, scheme.use_dst_port)
         self.key_attrs = tuple(attr for attr, on in zip(_KEY_ATTRS, used) if on)
-        self._src_label = _src_label(scheme)
         key_columns = [self._rank(attr) for attr in self.key_attrs]
         self.order = np.lexsort([ts] + [codes for codes, _ in reversed(key_columns)])
         self.ts = ts[self.order]
         self._columns = {
             attr: (codes[self.order], labels) for attr, (codes, labels) in zip(self.key_attrs, key_columns)
         }
-        self.key_change = np.zeros(len(events), dtype=bool)
+        self.key_change = np.zeros(len(trace), dtype=bool)
         self.key_change[:1] = True
         for codes, _ in self._columns.values():
             self.key_change[1:] |= codes[1:] != codes[:-1]
@@ -200,11 +202,19 @@ class _KeyedSplit:
         # key number of each position; keys are numbered in sort_key order
         self.key_index = np.cumsum(self.key_change) - 1
 
-    def _rank(self, attr: str) -> tuple[np.ndarray, list]:
-        label = self._src_label if attr == "src_ip" else None
-        return _rank_codes(list(map(attrgetter(attr), self.events)), label)
+    def _rank(self, attr: str) -> tuple[np.ndarray, Sequence]:
+        trace = self.trace
+        if attr == "sensor":
+            return trace.sensor, trace.sensors
+        if attr == "src_ip":
+            if self.scheme.use_src_prefix:
+                return _prefix_codes(trace, self.scheme.src_prefix_len)
+            return trace.src, trace.addresses
+        if attr == "dst_ip":
+            return trace.dst, trace.addresses
+        return getattr(trace, attr), _PORTS
 
-    def _column(self, attr: str) -> tuple[np.ndarray, list]:
+    def _column(self, attr: str) -> tuple[np.ndarray, Sequence]:
         column = self._columns.get(attr)
         if column is None:
             codes, labels = self._rank(attr)
@@ -215,8 +225,8 @@ class _KeyedSplit:
         """Rank codes of one event attribute (of the keyed source for ``src_ip``), in sorted order."""
         return self._column(attr)[0]
 
-    def labels(self, attr: str) -> list:
-        """The sorted distinct values that :meth:`codes` numbers."""
+    def labels(self, attr: str) -> Sequence:
+        """The values that :meth:`codes` numbers: ``labels[code]`` is a code's value."""
         return self._column(attr)[1]
 
     def flow_starts(self, idle_timeout: float) -> np.ndarray:
@@ -224,7 +234,7 @@ class _KeyedSplit:
         if not idle_timeout > 0:
             raise ValueError(f"idle_timeout must be positive: {idle_timeout}")
         if self._regressed_at:
-            event, prev = self.events[self._regressed_at], self.events[self._regressed_at - 1]
+            event, prev = self.trace[self._regressed_at], self.trace[self._regressed_at - 1]
             raise UnsortedTraceError(
                 f"event at ts={event.ts} arrived after ts={prev.ts}; assemble requires a time-ordered stream"
             )
@@ -241,22 +251,27 @@ class _KeyedSplit:
                 fields.append(repeat(None))
         return list(map(FlowKey, *fields))
 
+    def packets(self, starts: np.ndarray, stops: np.ndarray) -> Trace:
+        """The packets at sorted positions ``starts[i]:stops[i]``, range after range."""
+        return self.trace.take(self.order[_positions(starts, stops)])
+
     def flows(self, starts: np.ndarray, stops: np.ndarray) -> list[Flow]:
         """The flows over sorted positions ``starts[i]:stops[i]``, in the given order.
 
-        Flows of one key share one FlowKey, and only the packets of these
-        flows are gathered.
+        Flows of one key share one FlowKey. A flow's packets are a
+        selection of the trace, read only when used.
         """
-        _, first, key_of = np.unique(self.key_index[starts], return_index=True, return_inverse=True)
-        keys = self._keys(starts[first])
-        sizes = stops - starts
-        ends = np.cumsum(sizes)
-        begins = ends - sizes
-        positions = np.arange(sizes.sum()) + np.repeat(starts - begins, sizes)
-        packets = [self.events[i] for i in self.order[positions].tolist()]
-        return [
-            Flow(keys[k], tuple(packets[a:b])) for k, a, b in zip(key_of.tolist(), begins.tolist(), ends.tolist())
-        ]
+        key_of = self.key_index[starts]
+        somewhere = dict(zip(key_of.tolist(), starts.tolist()))  # a sorted position of each distinct key
+        keys = dict(zip(somewhere, self._keys(np.fromiter(somewhere.values(), np.intp, len(somewhere)))))
+        del somewhere
+        order, take = self.order, self.trace.take
+        flows = []
+        for block in range(0, len(starts), _BLOCK):  # whole int lists would outweigh the flows being built
+            window = slice(block, block + _BLOCK)
+            runs = zip(key_of[window].tolist(), starts[window].tolist(), stops[window].tolist())
+            flows += [Flow(keys[k], take(order[a:b])) for k, a, b in runs]
+        return flows
 
 
 def assemble(
@@ -284,8 +299,8 @@ def assemble(
     regresses; silently mis-assembling an unsorted trace would corrupt every
     count downstream.
     """
-    split = _KeyedSplit(list(events), scheme)
+    split = _KeyedSplit(as_trace(events), scheme)
     starts = split.flow_starts(idle_timeout)
-    stops = np.append(starts[1:], len(split.events))
+    stops = np.append(starts[1:], len(split.ts))
     canonical = np.lexsort((split.key_index[starts], split.ts[starts]))
     return split.flows(starts[canonical], stops[canonical])

@@ -20,6 +20,7 @@ import numpy as np
 from .detection import AttackThresholds, _attack_runs, _split_columns
 from .events import PacketEvent, open_artifact
 from .flows import FlowScheme, _KeyedSplit
+from .trace import as_trace
 
 __all__ = ["HeatmapGrid", "sweep", "write_heatmap_csv"]
 
@@ -69,7 +70,7 @@ def sweep(
     if base_thresholds is None:
         base_thresholds = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1)
 
-    split = _KeyedSplit(list(events), scheme)
+    split = _KeyedSplit(as_trace(events), scheme)
     attack_flows = np.zeros((len(timeout_grid), len(load_grid)), dtype=np.int64)
     victim_counts = np.zeros_like(attack_flows)
     for i, timeout in enumerate(timeout_grid):

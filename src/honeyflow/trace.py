@@ -1,0 +1,303 @@
+"""Packet traces held as numpy columns, and their fast JSONL reader.
+
+A :class:`Trace` is the one representation of a trace in honeyflow: every
+function that takes events turns them into one (:func:`as_trace`), and
+:func:`honeyflow.events.load_trace` returns one. Flow keying, detection,
+sweeps and coverage accounting read its columns; a :class:`PacketEvent` is
+built only when a caller reads one.
+"""
+
+from __future__ import annotations
+
+import json
+import operator
+from collections.abc import Sequence
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
+
+from .events import _EVENT_KEYS, PacketEvent, _event, ipv4_to_int
+
+__all__ = ["Trace", "as_trace"]
+
+
+class _Columns(NamedTuple):
+    """The arrays and string tables behind a :class:`Trace`."""
+
+    ts: np.ndarray
+    sensor: np.ndarray
+    src: np.ndarray
+    src_port: np.ndarray
+    dst: np.ndarray
+    dst_port: np.ndarray
+    sensors: list[str]
+    addresses: list[str]
+    address_values: np.ndarray
+    events: list[PacketEvent] | None  # the objects the columns were taken from, if any
+
+
+def _column(name: str, doc: str) -> property:
+    index = _Columns._fields.index(name)
+
+    def read(self) -> np.ndarray:
+        column = self._columns[index]
+        return column if self._rows is None else column[self._rows]
+
+    return property(read, doc=doc)
+
+
+def _string_codes(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct strings of all columns, and each column as int32 codes into them."""
+    table = sorted(set().union(*columns))
+    code = {value: index for index, value in enumerate(table)}
+    return table, [np.fromiter(map(code.__getitem__, column), np.int32, len(column)) for column in columns]
+
+
+class Trace(Sequence):
+    """Packet events held as numpy columns, one entry per event.
+
+    ``ts`` is float64 and the ports are int32. ``sensor``, ``src`` and
+    ``dst`` are int32 codes into the sorted string tables ``sensors`` and
+    ``addresses`` (both address columns share one), so ordering by a code
+    orders by the string, as :data:`honeyflow.events.trace_sort_key` does. Each table entry
+    is the one string object every event with that value shares, and
+    ``address_values`` holds each address's 32-bit value.
+
+    A trace is a sequence of :class:`PacketEvent` that builds an event only
+    when it is read, by indexing or iterating, and it equals any sequence of
+    equal events. A trace made from event objects keeps them, and reading it
+    returns those same objects. :meth:`take` and slicing select rows of a
+    trace without copying a column until it is read; the flows of
+    :mod:`honeyflow.flows` hold such selections.
+    """
+
+    __slots__ = ("_columns", "_rows")
+
+    def __init__(self, columns: _Columns, rows: np.ndarray | None = None) -> None:
+        self._columns = columns
+        self._rows = rows
+
+    @classmethod
+    def from_events(cls, events: Iterable[PacketEvent]) -> "Trace":
+        """The trace of ``events`` in their given order, keeping the objects."""
+        events = list(events)
+        n = len(events)
+        sensors, (sensor,) = _string_codes(list(map(attrgetter("sensor"), events)))
+        addresses, (src, dst) = _string_codes(
+            list(map(attrgetter("src_ip"), events)), list(map(attrgetter("dst_ip"), events))
+        )
+        return cls(_Columns(
+            np.fromiter(map(attrgetter("ts"), events), np.float64, n),
+            sensor,
+            src,
+            np.fromiter(map(attrgetter("src_port"), events), np.int32, n),
+            dst,
+            np.fromiter(map(attrgetter("dst_port"), events), np.int32, n),
+            sensors,
+            addresses,
+            np.fromiter(map(ipv4_to_int, addresses), np.uint32, len(addresses)),
+            events,
+        ))
+
+    @classmethod
+    def concat(cls, parts: Sequence[Sequence[PacketEvent]]) -> "Trace":
+        """The events of ``parts`` one after the other; rows of one trace stay rows of it."""
+        if parts and all(isinstance(part, Trace) and part._columns is parts[0]._columns for part in parts):
+            return cls(parts[0]._columns, np.concatenate([part.rows for part in parts]))
+        return cls.from_events(chain.from_iterable(parts))
+
+    ts = _column("ts", "Timestamps, float64.")
+    sensor = _column("sensor", "Sensor ids as codes into :attr:`sensors`.")
+    src = _column("src", "Source addresses as codes into :attr:`addresses`.")
+    src_port = _column("src_port", "Source ports, int32.")
+    dst = _column("dst", "Destination addresses as codes into :attr:`addresses`.")
+    dst_port = _column("dst_port", "Destination ports, int32.")
+
+    @property
+    def sensors(self) -> list[str]:
+        """The sorted distinct sensor ids of the underlying trace."""
+        return self._columns.sensors
+
+    @property
+    def addresses(self) -> list[str]:
+        """The sorted distinct source and destination addresses of the underlying trace."""
+        return self._columns.addresses
+
+    @property
+    def address_values(self) -> np.ndarray:
+        """The 32-bit value of each entry of :attr:`addresses`, uint32."""
+        return self._columns.address_values
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The positions of these events in the underlying trace."""
+        return np.arange(len(self._columns.ts)) if self._rows is None else self._rows
+
+    def take(self, rows: np.ndarray) -> "Trace":
+        """The events at positions ``rows`` of this trace, in that order."""
+        return Trace(self._columns, rows if self._rows is None else self._rows[rows])
+
+    def __len__(self) -> int:
+        return len(self._columns.ts) if self._rows is None else len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self._columns, np.arange(*index.indices(len(self))) if self._rows is None else self._rows[index])
+        row = range(len(self))[index]
+        if self._rows is not None:
+            row = int(self._rows[row])
+        c = self._columns
+        if c.events is not None:
+            return c.events[row]
+        return _event(
+            float(c.ts[row]), c.sensors[c.sensor[row]], c.addresses[c.src[row]], int(c.src_port[row]),
+            c.addresses[c.dst[row]], int(c.dst_port[row]),
+        )
+
+    def __iter__(self) -> Iterator[PacketEvent]:
+        c, rows = self._columns, self._rows
+        if c.events is not None:
+            return iter(c.events) if rows is None else map(c.events.__getitem__, rows.tolist())
+        address = c.addresses.__getitem__
+        return map(
+            _event, self.ts.tolist(), map(c.sensors.__getitem__, self.sensor.tolist()), map(address, self.src.tolist()),
+            self.src_port.tolist(), map(address, self.dst.tolist()), self.dst_port.tolist(),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Trace, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
+def as_trace(events: Iterable[PacketEvent]) -> Trace:
+    """``events`` as a :class:`Trace`: a trace itself, anything else via :meth:`Trace.from_events`."""
+    return events if isinstance(events, Trace) else Trace.from_events(events)
+
+
+# -- reading JSONL ------------------------------------------------------------
+
+# Non-blank lines per json.loads call of the fast path: enough to amortise
+# the call, few enough that a chunk's objects stay small next to the columns.
+_CHUNK_LINES = 1024
+_EVENT_FIELDS = itemgetter(*_EVENT_KEYS)
+
+
+def _chunk_columns(
+    lines: list[str],
+    sensor_ids: dict[str, int],
+    address_ids: dict[str, int],
+    values: list[int],
+    check_address: Callable[[str], int],
+) -> tuple[np.ndarray, ...] | None:
+    """One chunk of event lines as columns, or None if any line is not a good event on its own.
+
+    Each line is wrapped in its own array and the chunk decoded by one
+    ``json.loads``: the decoded rows number the lines exactly when each
+    line holds one JSON value, since a separator holds a raw newline no
+    string may span, and an object spread over lines would take separator
+    brackets into a value no good event has. Fields are checked column by
+    column, to the letter of :func:`honeyflow.events.parse_event_line`.
+    Sensors and addresses are coded by first-seen ids in ``sensor_ids`` and
+    ``address_ids``; each new address goes through ``check_address`` once,
+    in first-seen order, and its value is appended to ``values``.
+    """
+    try:
+        rows = json.loads("[[" + "],\n[".join(lines) + "]]")
+        if len(rows) != len(lines):
+            return None
+        records = [record for (record,) in rows]
+        if set(map(type, records)) != {dict} or set(map(len, records)) != {len(_EVENT_KEYS)}:
+            return None
+        ts, sensor, src_ip, src_port, dst_ip, dst_port = zip(*map(_EVENT_FIELDS, records))
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None
+    if (
+        not set(map(type, ts)) <= {float, int}
+        or set(map(type, sensor)) != {str}
+        or "" in sensor
+        or set(map(type, src_ip)) | set(map(type, dst_ip)) != {str}
+        or set(map(type, src_port)) | set(map(type, dst_port)) != {int}
+    ):
+        return None
+    try:
+        ts = np.array(ts, np.float64)
+        ports = np.array((src_port, dst_port), np.int64)
+    except OverflowError:  # an int beyond the float or int64 range
+        return None
+    if not (np.isfinite(ts) & (ts >= 0)).all() or not ((ports >= 0) & (ports <= 65535)).all():
+        return None
+    for name in set(sensor).difference(sensor_ids):
+        sensor_ids[name] = len(sensor_ids)
+    for address in [a for a in dict.fromkeys(chain.from_iterable(zip(src_ip, dst_ip))) if a not in address_ids]:
+        try:
+            values.append(check_address(address))
+        except ValueError:
+            return None
+        address_ids[address] = len(address_ids)
+    n = len(lines)
+    return (
+        ts,
+        np.fromiter(map(sensor_ids.__getitem__, sensor), np.int32, n),
+        np.fromiter(map(address_ids.__getitem__, src_ip), np.int32, n),
+        ports[0].astype(np.int32),
+        np.fromiter(map(address_ids.__getitem__, dst_ip), np.int32, n),
+        ports[1].astype(np.int32),
+    )
+
+
+def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The keys of ``ids`` sorted, and for each id the rank of its key."""
+    table = sorted(ids)
+    rank = np.empty(len(table), np.int32)
+    rank[np.fromiter(map(ids.__getitem__, table), np.intp, len(table))] = np.arange(len(table), dtype=np.int32)
+    return table, rank
+
+
+def _read_trace(path: str, check_address: Callable[[str], int]) -> Trace | None:
+    """The events of a JSONL trace file in canonical order, or None if some
+    line needs :func:`honeyflow.events.load_trace`'s per-line parser.
+
+    ``check_address`` parses an address to its value and raises ValueError
+    for a bad one. The file is split into lines and stripped as the
+    per-line parser does it, then read in chunks, one ``json.loads`` per
+    chunk; one stable ``np.lexsort`` puts the columns in canonical order.
+    """
+    sensor_ids: dict[str, int] = {}
+    address_ids: dict[str, int] = {}
+    values: list[int] = []
+    chunks = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = filter(None, map(str.strip, handle))
+            while chunk := list(islice(lines, _CHUNK_LINES)):
+                columns = _chunk_columns(chunk, sensor_ids, address_ids, values, check_address)
+                if columns is None:
+                    return None
+                chunks.append(columns)
+    except UnicodeDecodeError:  # the per-line parser meets it, or an earlier bad line, first
+        return None
+    if not chunks:
+        return Trace.from_events([])
+    ts, sensor, src, src_port, dst, dst_port = (np.concatenate(column) for column in zip(*chunks))
+    del chunks
+    sensors, sensor_rank = _ranked(sensor_ids)
+    addresses, address_rank = _ranked(address_ids)
+    sensor, src, dst = sensor_rank[sensor], address_rank[src], address_rank[dst]
+    order = np.lexsort((dst_port, src_port, src, sensor, ts))
+    columns = [ts, sensor, src, src_port, dst, dst_port]
+    del ts, sensor, src, src_port, dst, dst_port
+    for i, column in enumerate(columns):  # each unsorted column is freed before the next is copied
+        columns[i] = column[order]
+    del column
+    address_values = np.empty(len(addresses), np.uint32)
+    address_values[address_rank] = values
+    return Trace(_Columns(*columns, sensors, addresses, address_values, None))

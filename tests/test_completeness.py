@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_match_baseline, oracle_overlap_report, oracle_upper_bound
+from helpers import make_random_trace, oracle_match_baseline, oracle_overlap_report, oracle_upper_bound
 from honeyflow import BaselineAttack, PacketEvent, ScannerList, trace_sort_key
 from honeyflow.completeness import (
     CLASS_ATTACK,
@@ -252,6 +252,23 @@ def test_classify_sources_three_way():
     assert result.counts == {CLASS_ATTACK: 1, CLASS_SCAN_ONLY: 1, CLASS_UNSEEN: 1}
     assert result.shares[CLASS_ATTACK] == pytest.approx(1 / 3)
     assert sum(result.shares.values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", ["ccc", "hpi", "newkid-mono", "newkid-multi", "amppot"])
+def test_classify_sources_counts_equal_the_attack_events(name):
+    # per listed source: its packets, and the attack events holding one of
+    # them, read from detect_attacks' events and their packet objects
+    rng = random.Random(len(name))
+    events = make_random_trace(rng, 4000, n_sources=8, duration=600.0)
+    sources = sorted({e.src_ip for e in events})
+    listed = ScannerList(frozenset(rng.sample(sources, 6) + ["192.88.99.1"]))
+    preset = PRESETS[name]
+    result = classify_sources(listed, events, preset.scheme, preset.thresholds)
+    attacks = detect_attacks(events, preset)
+    senders = [{p.src_ip for f in attack.flows for p in f.packets} for attack in attacks]
+    assert result.packets == {s: sum(e.src_ip == s for e in events) for s in listed.sources}
+    assert result.attack_events == {s: sum(s in group for group in senders) for s in listed.sources}
+    assert any(result.attack_events.values())
 
 
 def test_classify_sources_empty_list():

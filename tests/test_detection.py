@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from operator import attrgetter
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_detect_carpet_bombing
+from helpers import make_random_trace, oracle_detect, oracle_detect_carpet_bombing
 from honeyflow import PacketEvent, trace_sort_key
 from honeyflow.detection import (
     COMPARE_AT_LEAST,
@@ -363,6 +364,29 @@ def test_detect_attacks_on_synthetic_scenario():
     corpus = synth(spec)
     found = victims(detect_attacks(corpus.events, PRESETS["ccc"]))
     assert Victim("203.0.113.50", GRANULARITY_ADDRESS) in found
+
+
+def test_cluster_flows_keep_key_order_at_equal_first_ts():
+    # two sensors' flows of one hpi cluster start together; handed in
+    # reverse key order, the event still lists them by (first_ts, key)
+    events = sorted(burst("198.51.100.7", 25, sensor="s1") + burst("198.51.100.7", 25, sensor="s2"),
+                    key=trace_sort_key)
+    hpi = PRESETS["hpi"]
+    flows = assemble(events, hpi.scheme, hpi.thresholds.idle_timeout)
+    assert [f.key.sensor for f in flows] == ["s1", "s2"]
+    for order in (flows, flows[::-1]):
+        (event,) = detect(order, hpi.thresholds)
+        assert [f.key.sensor for f in event.flows] == ["s1", "s2"]
+
+
+def test_detect_reads_flows_of_several_traces_and_hand_built_ones():
+    ccc = PRESETS["ccc"]
+    one, other = (make_random_trace(random.Random(seed), 600, n_sources=6, duration=900.0) for seed in (1, 2))
+    flows = assemble(one, ccc.scheme, 900.0) + assemble(other, ccc.scheme, 900.0)
+    flows += [Flow(f.key, tuple(f.packets)) for f in assemble(other[:200], ccc.scheme, 900.0)]
+    got = detect(flows, ccc.thresholds)
+    assert got == oracle_detect(flows, ccc.thresholds)
+    assert len(got) > 2
 
 
 def test_attack_report_format(tmp_path):

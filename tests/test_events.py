@@ -3,6 +3,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from helpers import oracle_load_trace
@@ -32,6 +33,7 @@ from honeyflow.events import (
     write_scanner_list,
     write_trace,
 )
+from honeyflow import trace as trace_module
 
 
 def test_ipv4_round_trip_against_ipaddress():
@@ -209,6 +211,22 @@ def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
     assert calls == ["198.51.100.7", "203.0.113.1"]  # each distinct address once
     assert first.src_ip is second.src_ip is third.src_ip
     assert first.dst_ip is third.dst_ip and first.sensor is third.sensor
+
+
+def test_trace_is_a_sequence_of_its_events(tmp_path):
+    events = [sample_event(ts=float(t), src_port=t) for t in range(10)]
+    path = tmp_path / "events.jsonl"
+    write_trace(events, str(path))
+    for trace in (load_trace(str(path)), trace_module.as_trace(events)):
+        assert len(trace) == 10 and trace == events and list(trace) == events
+        assert trace[3] == events[3] and trace[-1] == events[-1]
+        for index in (slice(2, 7), slice(None, None, -3), slice(8, 2), slice(-4, None)):
+            assert trace[index] == events[index]
+        assert trace[2:9][1:4] == events[2:9][1:4] and trace[2:9][-1] == events[8]
+        with pytest.raises(IndexError):
+            trace[10]
+    kept = trace_module.as_trace(events)
+    assert kept[4] is events[4] and kept[2:9][1] is events[3]  # a trace of objects hands them back
 
 
 def test_trace_sort_is_stable_for_dst_ip_ties(tmp_path):
@@ -453,3 +471,113 @@ def test_load_trace_equals_line_by_line_oracle(lines, bad, newline, final_newlin
         assert _outcome(load_trace, path) == expected
         if bad:
             assert expected.startswith("FormatError: line ")
+
+
+# -- load_trace's fast path against the oracle ------------------------------------
+#
+# The fast path decodes a chunk of lines with one json.loads; lines that do
+# not hold one JSON value each must send it to the per-line parser, so the
+# first bad line fails as the oracle says.
+
+def _loaded_like_oracle(text: str, chunk_lines: int):
+    """``load_trace`` and the oracle on ``text`` read with ``chunk_lines`` lines per chunk."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "events.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_module, "_CHUNK_LINES", chunk_lines)
+            return _outcome(load_trace, path), _outcome(oracle_load_trace, path)
+
+
+@st.composite
+def _misplaced_lines(draw):
+    """Good records, some two to a line and some spread over several lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        text = json.dumps(draw(_records), ensure_ascii=False)
+        shape = draw(st.sampled_from(["line", "line", "two on one line", "spread"]))
+        if shape == "two on one line":
+            other = json.dumps(draw(_records), ensure_ascii=False)
+            lines.append(text + draw(st.sampled_from(["", " ", ", ", ",", "  ,  "])) + other)
+        elif shape == "spread":
+            cuts = sorted(draw(st.sets(st.integers(1, len(text) - 1), min_size=1, max_size=3)))
+            lines += [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        else:
+            lines.append(text)
+    return lines
+
+
+@settings(deadline=None, max_examples=300)
+@given(lines=_misplaced_lines(), chunk_lines=st.sampled_from([1, 2, 3, 1024]))
+def test_lines_not_holding_one_object_each_fail_like_the_oracle(lines, chunk_lines):
+    engine, oracle = _loaded_like_oracle("\n".join(lines) + "\n", chunk_lines)
+    assert engine == oracle
+
+
+_GOOD_LINE = json.dumps({"ts": 1.0, "sensor": "s1", "src_ip": "10.0.0.1", "src_port": 53,
+                         "dst_ip": "10.0.0.2", "dst_port": 123})
+_MEMBER = _GOOD_LINE.index(', "src_ip"')  # between two members
+_IN_STRING = _GOOD_LINE.index('"s1"') + 2  # between the s and the 1 of the sensor
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # two objects on line 1 and one object over lines 2-3 without the
+        # comma between its members: comma-joined lines would hold three
+        # good objects
+        [_GOOD_LINE + ", " + _GOOD_LINE, _GOOD_LINE[:_MEMBER], _GOOD_LINE[_MEMBER + 2:]],
+        # the same rows as the wrapped chunk would see them, split inside a
+        # string: only the raw newline in the separator keeps them apart
+        [_GOOD_LINE + "],[" + _GOOD_LINE, _GOOD_LINE[:_IN_STRING], _GOOD_LINE[_IN_STRING:]],
+        # one line that closes its own row and opens another
+        [_GOOD_LINE + "],[" + _GOOD_LINE],
+        [_GOOD_LINE, _GOOD_LINE[:-1], "}"],
+        [_GOOD_LINE + _GOOD_LINE],
+    ],
+)
+def test_line_count_compensation_still_fails_like_the_oracle(lines):
+    for chunk_lines in (1, 2, 1024):
+        engine, oracle = _loaded_like_oracle("\n".join(lines) + "\n", chunk_lines)
+        assert engine == oracle
+        assert oracle.startswith("FormatError: line ")
+
+
+@pytest.mark.parametrize("bad_at", [1, 4, 5, 11, 23])
+def test_bad_line_past_the_first_chunk_fails_like_the_oracle(bad_at):
+    rng = random.Random(bad_at)
+    lines = [json.dumps({"ts": rng.uniform(0, 9), "sensor": rng.choice(_SENSORS), "src_ip": rng.choice(_ADDRESSES),
+                         "src_port": rng.choice(_PORTS), "dst_ip": rng.choice(_ADDRESSES),
+                         "dst_port": rng.choice(_PORTS)}) for _ in range(24)]
+    good, _ = _loaded_like_oracle("\n".join(lines), 4)
+    assert len(good) == 24
+    lines[bad_at - 1] = lines[bad_at - 1].replace('"src_port": ', '"src_port": 7000')  # over 65535
+    engine, oracle = _loaded_like_oracle("\n".join(lines), 4)
+    assert engine == oracle
+    assert oracle.startswith(f"FormatError: line {bad_at}: src_port out of range")
+
+
+def test_load_trace_memory_per_event_is_bounded(tmp_path):
+    # seeded 10^5 events over 20 sensors and 2000 sources: the columns hold
+    # 28 bytes per event; the per-event objects of a list took ~140
+    rng = random.Random(5)
+    sensors = [(f"s{i:02d}", f"192.0.2.{i + 1}") for i in range(20)]
+    sources = [f"100.{64 + i // 250}.{i % 250}.{1 + i % 7}" for i in range(2000)]
+    n = 100_000
+    path = tmp_path / "events.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for _ in range(n):
+            sensor, address = rng.choice(sensors)
+            handle.write(json.dumps({"ts": rng.uniform(0, 1e5), "sensor": sensor, "src_ip": rng.choice(sources),
+                                     "src_port": rng.randrange(65536), "dst_ip": address,
+                                     "dst_port": rng.choice((53, 123))}) + "\n")
+    tracemalloc.start()
+    try:
+        trace = load_trace(str(path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert retained / n <= 40, f"{retained / n:.1f} bytes per event kept"
+    assert peak / n <= 90, f"{peak / n:.1f} bytes per event at the peak"

@@ -192,6 +192,20 @@ def test_detect_equals_oracle(events, case, timeout, load):
     assert _packet_ids(got) == _packet_ids(expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(events=_sorted_streams(), seed=st.integers(0, 2**32 - 1), **_DETECT_THRESHOLDS)
+def test_detect_does_not_depend_on_the_order_of_its_flows(events, seed, case, timeout, load):
+    # equal first timestamps abound on the grid: a cluster's flows still come
+    # out ordered by (first_ts, key), as AttackEvent.from_flows orders them
+    scheme, knobs = _DETECT_CASES[case]
+    thresholds = AttackThresholds(name=case, idle_timeout=timeout, min_packets=load, **knobs)
+    flows = oracle_assemble(events, scheme, timeout)
+    got = outcome(detect, random.Random(seed).sample(flows, len(flows)), thresholds)
+    expected = outcome(oracle_detect, flows, thresholds)
+    assert got == expected
+    assert _packet_ids(got) == _packet_ids(expected)
+
+
 @settings(max_examples=400, deadline=None)
 @given(events=_sorted_streams(), unsorted=st.booleans(), **_DETECT_THRESHOLDS)
 def test_detect_attacks_equals_oracle(events, unsorted, case, timeout, load):
