@@ -46,7 +46,7 @@ from .detection import (
     write_attack_report,
 )
 from .evasion import BUILTIN_PROFILES, evasion_rows, write_evasion_csv
-from .events import load_baseline, load_profiles, load_scanner_list, load_trace, open_artifact
+from .events import FormatError, load_baseline, load_profiles, load_scanner_list, load_trace, open_artifact
 from .sweep import sweep, write_heatmap_csv
 from .synth import spec_from_dict, spec_to_dict, synth, write_corpus
 
@@ -329,7 +329,10 @@ def _cmd_evade(parser: _Parser, args) -> int:
 def _cmd_synth(parser: _Parser, args) -> int:
     out = _resolve_out(args)
     with open(args.spec, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:
+            raise FormatError(f"{args.spec}: malformed scenario spec: {exc}") from exc
     spec = spec_from_dict(data)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

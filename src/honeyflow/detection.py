@@ -19,7 +19,6 @@ flows that attack.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
@@ -146,26 +145,6 @@ class AttackEvent:
     total_packets: int
     sensors: frozenset[str]
     dst_ports: frozenset[int]
-
-    @classmethod
-    def from_flows(cls, victim: Victim, flows: Sequence[Flow]) -> "AttackEvent":
-        ordered = tuple(sorted(flows, key=lambda f: (f.first_ts, f.key.sort_key())))
-        sensors: set[str] = set()
-        ports: set[int] = set()
-        total = 0
-        for flow in ordered:
-            total += flow.packet_count
-            sensors.update(flow.sensors)
-            ports.update(flow.dst_ports)
-        return cls(
-            victim=victim,
-            flows=ordered,
-            first_ts=ordered[0].first_ts,
-            last_ts=max(f.last_ts for f in ordered),
-            total_packets=total,
-            sensors=_shared_set(frozenset(sensors)),
-            dst_ports=_shared_set(frozenset(ports)),
-        )
 
 
 @dataclass(frozen=True)
@@ -316,15 +295,15 @@ def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThr
     )
 
 
-def _flow_columns(flows: Sequence[Flow], thresholds: AttackThresholds) -> _FlowColumns:
-    """Assembled flows as the threshold rule reads them."""
+def _flow_columns(flows: Sequence[Flow], clustered: bool = False) -> _FlowColumns:
+    """Assembled flows as the threshold rule reads them; ``group`` is set only when ``clustered``."""
     runs = list(map(attrgetter("packets"), flows))
     packets = Trace.concat(runs)
     sizes = np.fromiter(map(len, runs), np.int64, len(runs))
     ends = np.cumsum(sizes)
     begins = ends - sizes
     group = None
-    if thresholds.min_sensors > 1 and flows[0].key.sensor is not None:
+    if clustered:
         group = np.zeros(len(flows), dtype=np.int64)
         for field in ("src", "src_port", "dst_port"):
             codes, labels = _rank_codes([getattr(f.key, field) for f in flows])
@@ -413,13 +392,18 @@ def _cluster_sets(clusters: np.ndarray, codes: np.ndarray, labels: Sequence | No
 
 
 def _attack_events(
-    columns: _FlowColumns, members: np.ndarray, heads: np.ndarray, flows: list[Flow]
+    columns: _FlowColumns,
+    members: np.ndarray,
+    heads: np.ndarray,
+    flows: list[Flow],
+    victims: Sequence[Victim] | None = None,
 ) -> list[AttackEvent]:
     """One attack event per cluster of ``members`` beginning at ``heads``, sorted by (first_ts, victim).
 
-    ``flows`` are the Flows of ``members``. Each event equals
-    :meth:`AttackEvent.from_flows` on its cluster; its counts, span and sets
-    are read from the packet columns of all clusters at once.
+    ``flows`` are the Flows of ``members``. An event lists its flows by
+    (first_ts, key), and its counts, span and sets are read from the packet
+    columns of all clusters at once. Its victim is the one ``victims`` gives
+    for its cluster, else the one its first flow's key names.
     """
     if not len(members):
         return []
@@ -435,8 +419,9 @@ def _attack_events(
     events = []
     for k, (a, b) in enumerate(pairwise(heads.tolist() + [len(members)])):
         order = range(a, b) if b - a == 1 else sorted(range(a, b), key=lambda i: (starts[i], flows[i].key.sort_key()))
+        victim = _victim_of_key_src(flows[a].key.src) if victims is None else victims[k]
         events.append(AttackEvent(
-            _victim_of_key_src(flows[a].key.src), tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
+            victim, tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
             sensors[k], ports[k],
         ))
     events.sort(key=_event_sort_key)
@@ -466,7 +451,7 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
     """
     if not flows:
         return []
-    columns = _flow_columns(flows, thresholds)
+    columns = _flow_columns(flows, thresholds.min_sensors > 1 and flows[0].key.sensor is not None)
     ((members, heads),) = _attack_runs(columns, [thresholds])
     return _attack_events(columns, members, heads, [flows[i] for i in members.tolist()])
 
@@ -534,38 +519,41 @@ def detect_carpet_bombing(
         raise ValueError(f"window_s must be positive or None: {window_s}")
 
     mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
-    by_prefix: dict[int, list[Flow]] = {}
+    flows: list[Flow] = []
+    nets: list[int] = []
     for event in attacks:
-        if event.victim.granularity != GRANULARITY_ADDRESS:
-            continue
-        net = ipv4_to_int(event.victim.identity) & mask
-        by_prefix.setdefault(net, []).extend(event.flows)
-
-    carpets: list[AttackEvent] = []
-    for net in sorted(by_prefix):
-        flows = sorted(by_prefix[net], key=lambda f: (f.first_ts, f.key.sort_key()))
-        if len(flows) < min_flows:
-            continue
-        if window_s is None:
-            chosen = flows
-        else:
-            # The window at anchor s holds the flows with first_ts <= s + window_s
-            # and last_ts >= s. A flow ending before s started before s too, so
-            # it is among the first group: the count is a difference of two bisects.
-            firsts = [f.first_ts for f in flows]
-            lasts = sorted(f.last_ts for f in flows)
-            for start in firsts:
-                end = start + window_s
-                if bisect_right(firsts, end) - bisect_left(lasts, start) >= min_flows:
-                    chosen = [f for f in flows if f.first_ts <= end and f.last_ts >= start]
-                    break
-            else:
-                continue
-        victim = Victim(f"{int_to_ipv4(net)}/{prefix_len}", GRANULARITY_PREFIX)
-        carpets.append(AttackEvent.from_flows(victim, chosen))
-
-    carpets.sort(key=_event_sort_key)
-    return carpets
+        if event.victim.granularity == GRANULARITY_ADDRESS:
+            flows += event.flows
+            nets += [ipv4_to_int(event.victim.identity) & mask] * len(event.flows)
+    if not flows:
+        return []
+    columns = _flow_columns(flows)
+    net = np.array(nets, np.int64)
+    order = np.lexsort((columns.first_ts, net))  # _attack_events orders each carpet's flows by key too
+    net, first, last = net[order], columns.first_ts[order], columns.last_ts[order]
+    run = np.cumsum(np.diff(net, prepend=-1) != 0) - 1  # each flow's net, numbered in net order
+    if window_s is None:
+        chosen = (np.bincount(run) >= min_flows)[run]
+    else:
+        # The window at anchor s holds its net's flows with first_ts <= s + window_s
+        # and last_ts >= s. A flow ending before s started before s too, so it
+        # is among the first group: the count is a difference of two searches.
+        # Each time is coded by (net, rank among all times), so one search over
+        # all flows stays inside each net.
+        end = first + window_s
+        times = np.sort(np.concatenate((first, end, last)))
+        at_first, at_end, at_last = (run * len(times) + np.searchsorted(times, ts) for ts in (first, end, last))
+        count = np.searchsorted(at_first, at_end, "right") - np.searchsorted(np.sort(at_last), at_first, "left")
+        hits = np.flatnonzero(count >= min_flows)
+        earliest = hits[np.diff(run[hits], prepend=-1) != 0]
+        anchor = np.full(run[-1] + 1, np.nan)  # no flow lies in the window of a net without an anchor
+        anchor[run[earliest]] = first[earliest]
+        start = anchor[run]
+        chosen = (first <= start + window_s) & (last >= start)
+    members = order[chosen]
+    heads = np.flatnonzero(np.diff(run[chosen], prepend=-1))
+    carpets = [Victim(f"{int_to_ipv4(n)}/{prefix_len}", GRANULARITY_PREFIX) for n in net[chosen][heads].tolist()]
+    return _attack_events(columns, members, heads, [flows[i] for i in members.tolist()], carpets)
 
 
 def write_attack_report(attacks: Iterable[AttackEvent], preset_name: str, path: str) -> None:

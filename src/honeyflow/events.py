@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
@@ -188,8 +187,6 @@ class PacketEvent:
 
 
 _EVENT_KEYS = ("ts", "sensor", "src_ip", "src_port", "dst_ip", "dst_port")
-_EVENT_KEY_SET = frozenset(_EVENT_KEYS)
-_FLOAT_MAX = sys.float_info.max
 
 # Canonical trace order. dst_ip is intentionally not part of the key; ties
 # that differ only in dst_ip keep input order (the sort is stable).
@@ -221,7 +218,7 @@ def _load_record(line: str, line_no: int, kind: str):
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {line_no}: malformed {kind} record: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal over the int/str conversion digit limit
+    except (ValueError, RecursionError) as exc:  # an integer over the int/str digit limit, or nesting too deep
         raise FormatError(f"line {line_no}: malformed {kind} record: {exc}") from exc
 
 
@@ -269,54 +266,14 @@ def _diagnose_event(record, line_no: int) -> None:
     _check_address(record, "dst_ip", line_no)
 
 
-def _parse_event(
-    line: str, line_no: int, addresses: dict[str, str], sensors: dict[str, str]
-) -> PacketEvent:
-    """The event validator behind :func:`parse_event_line` and :func:`load_trace`.
-
-    Cheap type and range checks run first; only a record that fails them is
-    diagnosed field by field, so each error names the same field as a
-    field-by-field check would. ``addresses`` holds the address strings
-    already checked and ``sensors`` the sensor ids already seen, each mapped
-    to its first occurrence: every distinct address is checked once, and
-    equal strings share one object across the events built.
-    """
-    record = _load_record(line, line_no, "event")
-    if type(record) is not dict or record.keys() != _EVENT_KEY_SET:
-        _diagnose_event(record, line_no)
-    ts = record["ts"]
-    sensor = record["sensor"]
-    src_ip = record["src_ip"]
-    src_port = record["src_port"]
-    dst_ip = record["dst_ip"]
-    dst_port = record["dst_port"]
-    # float(ts) overflows above _FLOAT_MAX, so an int beyond it is diagnosed
-    if not (
-        (type(ts) is float or type(ts) is int)
-        and 0 <= ts <= _FLOAT_MAX
-        and type(sensor) is str
-        and sensor
-        and type(src_ip) is str
-        and type(dst_ip) is str
-        and type(src_port) is int
-        and 0 <= src_port <= 65535
-        and type(dst_port) is int
-        and 0 <= dst_port <= 65535
-    ):
-        _diagnose_event(record, line_no)
-    src = addresses.get(src_ip)
-    if src is None:
-        src = addresses.setdefault(src_ip, _check_address(record, "src_ip", line_no))
-    dst = addresses.get(dst_ip)
-    if dst is None:
-        dst = addresses.setdefault(dst_ip, _check_address(record, "dst_ip", line_no))
-
-    return _event(float(ts), sensors.setdefault(sensor, sensor), src, src_port, dst, dst_port)
-
-
 def parse_event_line(line: str, line_no: int = 0) -> PacketEvent:
     """Parse one JSON event line, diagnosing the exact field on failure."""
-    return _parse_event(line, line_no, {}, {})
+    record = _load_record(line, line_no, "event")
+    _diagnose_event(record, line_no)
+    return _event(
+        float(record["ts"]), record["sensor"], record["src_ip"], record["src_port"], record["dst_ip"],
+        record["dst_port"],
+    )
 
 
 def serialize_event(event: PacketEvent) -> str:
@@ -350,19 +307,17 @@ def load_trace(path: str) -> Trace:
     how the file was produced.
 
     Lines are decoded in chunks, one ``json.loads`` per chunk, and checked
-    column by column. If any chunk fails, the whole file goes through the
-    per-line parser from line 1 instead, so the first bad line raises the
-    same :class:`FormatError` either way.
+    column by column. A chunk fails only on a line that
+    :func:`parse_event_line` rejects; the file is then read again line by
+    line with that parser, which raises the :class:`FormatError` naming the
+    first bad line.
     """
     from .trace import Trace, _read_trace  # the trace module builds on this one
 
     trace = _read_trace(path, ipv4_to_int)
     if trace is None:
-        addresses: dict[str, str] = {}
-        sensors: dict[str, str] = {}
-        events = [_parse_event(line, line_no, addresses, sensors) for line_no, line in _nonblank_lines(path)]
-        events.sort(key=trace_sort_key)
-        trace = Trace.from_events(events)
+        events = [parse_event_line(line, line_no) for line_no, line in _nonblank_lines(path)]
+        trace = Trace.from_events(sorted(events, key=trace_sort_key))
     return trace
 
 

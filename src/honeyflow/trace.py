@@ -263,8 +263,9 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
 
 
 def _read_trace(path: str, check_address: Callable[[str], int]) -> Trace | None:
-    """The events of a JSONL trace file in canonical order, or None if some
-    line needs :func:`honeyflow.events.load_trace`'s per-line parser.
+    """The events of a JSONL trace file in canonical order, or None if the
+    file is not UTF-8 or some line is one that
+    :func:`honeyflow.events.parse_event_line` rejects.
 
     ``check_address`` parses an address to its value and raises ValueError
     for a bad one. The file is split into lines and stripped as the

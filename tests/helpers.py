@@ -12,8 +12,11 @@ oracle recomputes every grid cell with both oracles. The ingest oracle is
 the plain line-by-line parser and sort that :func:`honeyflow.load_trace`
 must stay equal to. The baseline-matching and carpet oracles are the
 nested loops that the prefix and time indexes of
-:mod:`honeyflow.completeness` and the bisect counts of
-:func:`honeyflow.detection.detect_carpet_bombing` replaced. The
+:mod:`honeyflow.completeness` and the sorted-column counts of
+:func:`honeyflow.detection.detect_carpet_bombing` replaced. The detection
+and carpet oracles build their events with :func:`oracle_attack_event`,
+which reads each flow through its properties where the engine reads
+packet columns. The
 permutation-sample oracle is the shares matrix and ``np.percentile``
 summaries that the convergence count histograms replaced.
 """
@@ -27,7 +30,14 @@ import random
 from dataclasses import replace
 
 from honeyflow import FormatError, PacketEvent
-from honeyflow.detection import AttackEvent, _check_port_condition, _event_sort_key, _victim_of_key_src, victims
+from honeyflow.detection import (
+    AttackEvent,
+    _check_port_condition,
+    _event_sort_key,
+    _shared_set,
+    _victim_of_key_src,
+    victims,
+)
 from honeyflow.events import ipv4_to_int
 from honeyflow.flows import PER_SENSOR, Flow, FlowKey, FlowScheme, UnsortedTraceError
 
@@ -86,7 +96,7 @@ def oracle_parse_event_line(line: str, line_no: int) -> PacketEvent:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {line_no}: malformed event record: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal over the int/str conversion digit limit
+    except (ValueError, RecursionError) as exc:  # an integer over the int/str digit limit, or nesting too deep
         raise FormatError(f"line {line_no}: malformed event record: {exc}") from exc
     if not isinstance(record, dict):
         raise FormatError(f"line {line_no}: event record must be a JSON object")
@@ -283,6 +293,31 @@ def _oracle_window_cluster_starts(groups, first_ts, last_ts) -> list[int]:
     return starts
 
 
+def oracle_attack_event(victim, flows) -> AttackEvent:
+    """The attack event of ``flows``, read flow by flow through Flow's properties.
+
+    Its flows come ordered by (first_ts, key). This is the builder the
+    engine used before it read counts, spans and sets from packet columns.
+    """
+    ordered = tuple(sorted(flows, key=lambda f: (f.first_ts, f.key.sort_key())))
+    sensors: set[str] = set()
+    ports: set[int] = set()
+    total = 0
+    for flow in ordered:
+        total += flow.packet_count
+        sensors.update(flow.sensors)
+        ports.update(flow.dst_ports)
+    return AttackEvent(
+        victim=victim,
+        flows=ordered,
+        first_ts=ordered[0].first_ts,
+        last_ts=max(f.last_ts for f in ordered),
+        total_packets=total,
+        sensors=_shared_set(frozenset(sensors)),
+        dst_ports=_shared_set(frozenset(ports)),
+    )
+
+
 def oracle_detect(flows, thresholds):
     """Flow-object detection: a per-flow loop, or clustering by overlap windows per key modulo sensor.
 
@@ -305,7 +340,7 @@ def oracle_detect(flows, thresholds):
                 continue
             if thresholds.min_sensors > 1 and len(flow.sensors) < thresholds.min_sensors:
                 continue
-            events.append(AttackEvent.from_flows(_victim_of_key_src(flow.key.src), (flow,)))
+            events.append(oracle_attack_event(_victim_of_key_src(flow.key.src), (flow,)))
     else:
         groups: dict[FlowKey, list[Flow]] = {}
         for flow in flows:
@@ -325,7 +360,7 @@ def oracle_detect(flows, thresholds):
             distinct = {s for f in cluster for s in f.sensors}
             ports = {p for f in cluster for p in f.dst_ports}
             if len(distinct) >= thresholds.min_sensors and len(ports) >= thresholds.min_dst_ports:
-                events.append(AttackEvent.from_flows(_victim_of_key_src(cluster[0].key.src), cluster))
+                events.append(oracle_attack_event(_victim_of_key_src(cluster[0].key.src), cluster))
 
     events.sort(key=_event_sort_key)
     return events
@@ -586,7 +621,7 @@ def oracle_overlap_report(attacks, events, baseline, *, slack_s: float = 0.0):
 def oracle_detect_carpet_bombing(attacks, prefix_len: int = 24, min_flows: int = 16,
                                  window_s: float | None = 900.0):
     """Every anchor rescans every flow of its prefix."""
-    from honeyflow.detection import GRANULARITY_ADDRESS, GRANULARITY_PREFIX, AttackEvent, Victim
+    from honeyflow.detection import GRANULARITY_ADDRESS, GRANULARITY_PREFIX, Victim
     from honeyflow.events import int_to_ipv4
 
     if not 0 <= prefix_len <= 32:
@@ -622,7 +657,7 @@ def oracle_detect_carpet_bombing(attacks, prefix_len: int = 24, min_flows: int =
             if chosen is None:
                 continue
         victim = Victim(f"{int_to_ipv4(net)}/{prefix_len}", GRANULARITY_PREFIX)
-        carpets.append(AttackEvent.from_flows(victim, chosen))
+        carpets.append(oracle_attack_event(victim, chosen))
     carpets.sort(key=lambda e: (e.first_ts, e.victim.identity, e.flows[0].key.sort_key()))
     return carpets
 

@@ -422,6 +422,33 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["detect", "--preset", "ccc", "--events"], "line 2: malformed event record"),
+        (["overlap", "--preset", "ccc", "--baseline"], "line 2: malformed baseline record"),
+        (["evade", "--profiles"], "line 2: malformed profile record"),
+        (["synth", "--spec"], "malformed scenario spec"),
+    ],
+)
+def test_too_deeply_nested_input_exits_2(tmp_path, corpus_dir, capsys, argv, named):
+    # json raises RecursionError, not a ValueError, for nesting this deep
+    good = {
+        "detect": (corpus_dir / "events.jsonl").read_text().splitlines()[0] + "\n",
+        "overlap": (corpus_dir / "baseline.jsonl").read_text().splitlines()[0] + "\n",
+        "evade": '{"name": "NTP", "dst_port": 123, "request_size": 13.0, "amplification_factor": 557.0,'
+                 ' "amplifier_count": 2300000}\n',
+        "synth": "",
+    }[argv[0]]
+    deep = tmp_path / "deep.json"
+    deep.write_text(good + "[" * 200_000)
+    if argv[0] == "overlap":
+        argv = [*argv[:-1], "--events", str(corpus_dir / "events.jsonl"), argv[-1]]
+    assert run_cli(*argv, str(deep), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_help_cites_preset_sources(capsys):
     assert run_cli("detect", "--help") == 0
     text = capsys.readouterr().out

@@ -1,13 +1,16 @@
 import json
+import os
 import random
+import tempfile
 import time
+from functools import lru_cache
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_random_trace, oracle_detect, oracle_detect_carpet_bombing
+from helpers import make_random_trace, oracle_attack_event, oracle_detect, oracle_detect_carpet_bombing
 from honeyflow import PacketEvent, trace_sort_key
 from honeyflow.detection import (
     COMPARE_AT_LEAST,
@@ -26,8 +29,9 @@ from honeyflow.detection import (
     victims,
     write_attack_report,
 )
-from honeyflow.events import int_to_ipv4, ipv4_to_int
+from honeyflow.events import int_to_ipv4, ipv4_to_int, load_trace, write_trace
 from honeyflow.flows import PER_PLATFORM, PER_SENSOR, Flow, FlowKey, FlowScheme, assemble
+from honeyflow import trace as trace_module
 from honeyflow.synth import AttackSpec, ScenarioSpec, synth
 
 
@@ -334,21 +338,51 @@ def _carpet_attacks(draw):
                 for t in stamps
             )))
         granularity = GRANULARITY_PREFIX if "/" in identity else GRANULARITY_ADDRESS
-        attacks.append(AttackEvent.from_flows(Victim(identity, granularity), flows))
+        attacks.append(oracle_attack_event(Victim(identity, granularity), flows))
     return attacks
+
+
+@lru_cache(maxsize=None)
+def _random_trace_attacks(seed: int, loaded: bool) -> list[AttackEvent]:
+    """ccc attacks over a seeded random trace, given as a list or loaded from JSONL.
+
+    Their flows hold rows of one trace, as the flows of ``honeyflow detect``
+    do; a loaded trace builds each event only when it is read.
+    """
+    events = make_random_trace(random.Random(seed), 2000, n_sources=30, duration=3000.0)
+    if loaded:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "events.jsonl")
+            write_trace(events, path)
+            events = load_trace(path)
+    return detect_attacks(events, PRESETS["ccc"])
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    attacks=_carpet_attacks(),
+    attacks=st.one_of(
+        _carpet_attacks(), st.builds(_random_trace_attacks, st.integers(0, 3), st.booleans())
+    ),
     prefix_len=st.sampled_from((24, 30, 0)),
     min_flows=st.integers(1, 6),
-    window_s=st.sampled_from((None, 0.5, 1.0, 2.0, 3.0)),
+    window_s=st.sampled_from((None, 0.5, 1.0, 2.0, 3.0, 60.0, 900.0)),
 )
 def test_carpet_bombing_equals_rescan_oracle(attacks, prefix_len, min_flows, window_s):
     assert detect_carpet_bombing(attacks, prefix_len, min_flows, window_s) == oracle_detect_carpet_bombing(
         attacks, prefix_len, min_flows, window_s
     )
+
+
+def test_carpets_over_trace_rows_build_no_packet_events(monkeypatch):
+    attacks = _random_trace_attacks(0, True)
+    built = []
+    event = trace_module._event
+    monkeypatch.setattr(trace_module, "_event", lambda *fields: built.append(fields) or event(*fields))
+    carpets = detect_carpet_bombing(attacks, 24, 4, 60.0)
+    assert built == []
+    monkeypatch.undo()
+    assert len(carpets) > 2
+    assert carpets == oracle_detect_carpet_bombing(attacks, 24, 4, 60.0)
 
 
 def test_detect_attacks_on_synthetic_scenario():

@@ -2,6 +2,7 @@ import ipaddress
 import json
 import os
 import random
+import sys
 import tempfile
 import tracemalloc
 
@@ -33,6 +34,7 @@ from honeyflow.events import (
     write_scanner_list,
     write_trace,
 )
+from honeyflow import events as events_module
 from honeyflow import trace as trace_module
 
 
@@ -199,6 +201,26 @@ def test_profile_over_digit_limit_is_a_format_error(tmp_path):
     path.write_text(good + good.replace("2300000", OVER_DIGIT_LIMIT))
     with pytest.raises(FormatError, match="^line 2: malformed profile record: Exceeds the limit"):
         load_profiles(str(path))
+
+
+# json.loads raises RecursionError, not a ValueError, for nesting deeper than
+# the interpreter's recursion limit
+TOO_DEEP = "[" * 200_000
+
+
+def test_too_deeply_nested_records_are_format_errors(tmp_path):
+    events, baseline, profiles = (tmp_path / name for name in ("events.jsonl", "baseline.jsonl", "profiles.jsonl"))
+    write_trace([sample_event()], str(events))
+    write_baseline([BaselineAttack(1.0, 2.0, frozenset({123}), frozenset({"203.0.113.0/24"}))], str(baseline))
+    write_profiles([ProtocolProfile("NTP", 123, 13.0, 557.0, 2_300_000)], str(profiles))
+    for path in (events, baseline, profiles):
+        path.write_text(path.read_text() + TOO_DEEP + "\n")
+    for path, load, kind in ((events, load_trace, "event"), (events, oracle_load_trace, "event"),
+                             (baseline, load_baseline, "baseline"), (profiles, load_profiles, "profile")):
+        with pytest.raises(FormatError, match=f"^line 2: malformed {kind} record: .*recursion"):
+            load(str(path))
+    with pytest.raises(FormatError, match="^line 3: malformed event record: .*recursion"):
+        parse_event_line('{"ts": ' + TOO_DEEP, 3)
 
 
 def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
@@ -390,7 +412,13 @@ _SENSORS = ("s1", "s02", "a\u2028b")  # U+2028 is a line break to str.splitlines
 _ADDRESSES = ("10.0.0.1", "10.0.0.2", "192.0.2.1")
 _PORTS = (0, 53, 123, 40000, 65535)
 _GOOD = {
-    "ts": st.one_of(st.integers(0, 5), st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 5)),
+    "ts": st.one_of(
+        st.integers(0, 5),
+        st.sampled_from([0.0, 1.0, 2.5]),
+        st.floats(0, 5),
+        # ints past int64 and up to the float range, negative zero, the least subnormal
+        st.sampled_from([2**63, 2**64 + 1, int(sys.float_info.max) + 1, -0.0, 5e-324]),
+    ),
     "sensor": st.sampled_from(_SENSORS),
     "src_ip": st.sampled_from(_ADDRESSES),
     "src_port": st.sampled_from(_PORTS),
@@ -413,7 +441,7 @@ _records = st.fixed_dictionaries(_GOOD)
 def _bad_lines(draw):
     kind = draw(st.sampled_from(["json", "keys", "fields", "fields", "fields"]))
     if kind == "json":
-        return draw(st.sampled_from(["{", '{"ts": 1,', "[1, 2]", '"event"', "7", "null", "{}"]))
+        return draw(st.sampled_from(["{", '{"ts": 1,', "[1, 2]", '"event"', "7", "null", "{}", TOO_DEEP]))
     record = draw(_records)
     if kind == "fields":
         for key in draw(st.lists(st.sampled_from(list(_BAD)), min_size=1, max_size=3, unique=True)):
@@ -430,6 +458,8 @@ def _bad_lines(draw):
 
 _lines = st.one_of(
     _records.map(lambda r: json.dumps(r, ensure_ascii=False)),
+    # a duplicated key: the last value counts, so the bad first one does not
+    _records.map(lambda r: '{"src_port": "53", ' + json.dumps(r, ensure_ascii=False)[1:]),
     st.sampled_from(["", "  ", "\f", "\t \f"]),  # blank: whitespace only
 )
 
@@ -439,6 +469,10 @@ def _outcome(load, path):
         return [(e.ts, type(e.ts), e.sensor, e.src_ip, e.src_port, e.dst_ip, e.dst_port) for e in load(path)]
     except FormatError as exc:
         return f"FormatError: {exc}"
+
+
+def _per_line_parser_ran(line, line_no):
+    raise AssertionError(f"line {line_no} went to the per-line parser: {line!r}")
 
 
 @pytest.mark.parametrize("key,value", [(key, value) for key in _BAD for value in _BAD[key]])
@@ -468,7 +502,10 @@ def test_load_trace_equals_line_by_line_oracle(lines, bad, newline, final_newlin
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         expected = _outcome(oracle_load_trace, path)
-        assert _outcome(load_trace, path) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            if not bad:  # a good file never leaves the chunked reader
+                patch.setattr(events_module, "parse_event_line", _per_line_parser_ran)
+            assert _outcome(load_trace, path) == expected
         if bad:
             assert expected.startswith("FormatError: line ")
 

@@ -196,7 +196,7 @@ def test_detect_equals_oracle(events, case, timeout, load):
 @given(events=_sorted_streams(), seed=st.integers(0, 2**32 - 1), **_DETECT_THRESHOLDS)
 def test_detect_does_not_depend_on_the_order_of_its_flows(events, seed, case, timeout, load):
     # equal first timestamps abound on the grid: a cluster's flows still come
-    # out ordered by (first_ts, key), as AttackEvent.from_flows orders them
+    # out ordered by (first_ts, key), as oracle_attack_event orders them
     scheme, knobs = _DETECT_CASES[case]
     thresholds = AttackThresholds(name=case, idle_timeout=timeout, min_packets=load, **knobs)
     flows = oracle_assemble(events, scheme, timeout)
