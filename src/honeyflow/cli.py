@@ -391,7 +391,7 @@ def build_parser() -> _Parser:
         choices=[GREEDY_MAX_COVERAGE, GREEDY_STATIC_SORT],
         default=GREEDY_MAX_COVERAGE,
     )
-    converge_p.add_argument("--n-permutations", type=int, default=30_000)
+    converge_p.add_argument("--n-permutations", type=int, default=30_000, help="at most 10000000")
     converge_p.add_argument("--batch", type=int, default=100)
     converge_p.add_argument("--seed", type=int, default=0)
     _add_out(converge_p)

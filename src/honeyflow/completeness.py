@@ -412,7 +412,7 @@ def classify_sources(
     attack_events = np.zeros_like(packets)
     clusters = _attack_clusters(trace, DetectionPreset(thresholds.name, scheme, thresholds))
     if clusters is not None:
-        _, _, columns, members, heads = clusters
+        _, columns, members, heads = clusters
         per_packet, attack_packets = _cluster_packets(columns, members, heads)
         _, sources = _distinct_pairs(per_packet, attack_packets.src)  # each event's sources once
         attack_events += np.bincount(sources, minlength=len(trace.addresses))

@@ -156,9 +156,14 @@ class RankStatistics:
         return len(self.medians)
 
 
+_MAX_COUNT = 10**7  # the largest count or batch accepted: about 80 s of drawing at 8 us per order
+
+
 def _check_count(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be >= 1: {value}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must be <= {_MAX_COUNT}: {value}")
 
 
 def _check_seed(seed: int | None) -> None:

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .events import PacketEvent, int_to_ipv4, ipv4_to_int, open_artifact
-from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _positions
-from .trace import Trace, as_trace
+from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit
+from .trace import Trace, _string_codes, as_trace
 
 __all__ = [
     "COMPARE_AT_LEAST",
@@ -236,23 +236,11 @@ def _check_port_condition(thresholds: AttackThresholds, dst_port_keyed: bool) ->
         )
 
 
-class _FlowColumns(NamedTuple):
-    """One timeout's flows as the threshold rule reads them, one entry per flow.
-
-    ``group`` codes each flow's key without its sensor fields when per-sensor
-    flows are clustered, else it is None. ``distinct(attr)`` gives the (flow,
-    value code) pairs of the distinct sensors or dst ports in each flow: a
-    sensor's code indexes the trace's ``sensors`` table, a port is its own
-    code. ``packets(flows)`` gives the packets of those flows, flow by flow.
-    """
-
-    sizes: np.ndarray
-    first_ts: np.ndarray
-    last_ts: np.ndarray
-    group: np.ndarray | None
-    dst_port_keyed: bool
-    distinct: Callable[[str], tuple[np.ndarray, np.ndarray]]
-    packets: Callable[[np.ndarray], Trace]
+def _positions(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:stops[i]``, range after range."""
+    sizes = stops - starts
+    begins = np.cumsum(sizes) - sizes  # where each range begins in the result
+    return np.arange(sizes.sum()) + np.repeat(starts - begins, sizes)
 
 
 def _distinct_pairs(bins: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,59 +252,63 @@ def _distinct_pairs(bins: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
     return pairs[first] // width, pairs[first] % width
 
 
-def _rank_codes(values: list) -> tuple[np.ndarray, list]:
-    """Code each value by its rank among the sorted distinct values; returns the codes and those values."""
-    labels = sorted(set(values))
-    rank = {label: code for code, label in enumerate(labels)}
-    return np.fromiter(map(rank.__getitem__, values), np.int32, len(values)), labels
+class _FlowColumns:
+    """Flows as the threshold rule reads them, one entry per flow.
+
+    ``trace`` holds the flows' packets, flow after flow, and ``sizes`` their
+    counts; ``begins``, ``first_ts`` and ``last_ts`` follow from them.
+    ``keyed`` names the event attributes the flow key fixes, so each flow
+    holds one value of them. ``group`` codes each flow's key without its
+    sensor fields when per-sensor flows are clustered, else it is None.
+    """
+
+    def __init__(self, trace: Trace, sizes: np.ndarray, keyed: Sequence[str], group: np.ndarray | None) -> None:
+        self.trace, self.sizes, self.keyed, self.group = trace, sizes, keyed, group
+        ends = np.cumsum(sizes)
+        self.begins = ends - sizes
+        self.first_ts, self.last_ts = trace.take(self.begins).ts, trace.take(ends - 1).ts
+        self.dst_port_keyed = "dst_port" in keyed
+
+    def distinct(self, attr: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (flow, code) pairs of each flow's distinct sensors (codes into ``trace.sensors``) or dst ports."""
+        if attr in self.keyed:  # one value per flow
+            return np.arange(len(self.sizes)), getattr(self.trace.take(self.begins), attr)
+        return _distinct_pairs(np.repeat(np.arange(len(self.sizes)), self.sizes), getattr(self.trace, attr))
+
+    def packets(self, members: np.ndarray) -> Trace:
+        """The packets of the flows ``members``, flow after flow."""
+        begins = self.begins[members]
+        return self.trace.take(_positions(begins, begins + self.sizes[members]))
+
+
+def _group(fields: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Per flow, the codes of ``fields`` (codes, code count) in mixed radix: < 2**63 below 2**31 addresses."""
+    group = np.zeros(len(fields[0][0]), dtype=np.int64)
+    for codes, radix in fields:
+        group = group * radix + codes
+    return group
 
 
 def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds) -> _FlowColumns:
     """The flows beginning at ``starts`` of a keyed split, one timeout's worth."""
-    stops = np.append(starts[1:], len(split.ts))
-    sizes = stops - starts
     group = None
     if thresholds.min_sensors > 1 and split.scheme.scope == PER_SENSOR:
-        # the key codes but sensor and dst address in mixed radix (< 2**63 for
-        # any trace with fewer than 2**31 addresses: 2**16 codes per port)
-        group = np.zeros(len(starts), dtype=np.int64)
-        for attr in split.key_attrs:
-            if attr not in ("sensor", "dst_ip"):
-                group = group * len(split.labels(attr)) + split.codes(attr)[starts]
-
-    def distinct(attr: str) -> tuple[np.ndarray, np.ndarray]:
-        if attr in split.key_attrs:  # one value per flow
-            return np.arange(len(starts)), split.codes(attr)[starts]
-        return _distinct_pairs(np.repeat(np.arange(len(starts)), sizes), split.codes(attr))
-
-    return _FlowColumns(
-        sizes, split.ts[starts], split.ts[stops - 1], group, split.scheme.use_dst_port, distinct,
-        lambda flows: split.packets(starts[flows], stops[flows]),
-    )
+        group = _group([
+            (split.codes(attr)[starts], len(split.labels(attr)))
+            for attr in split.key_attrs if attr not in ("sensor", "dst_ip")
+        ])
+    return _FlowColumns(split.sorted, np.diff(starts, append=len(split.ts)), split.key_attrs, group)
 
 
 def _flow_columns(flows: Sequence[Flow], clustered: bool = False) -> _FlowColumns:
     """Assembled flows as the threshold rule reads them; ``group`` is set only when ``clustered``."""
     runs = list(map(attrgetter("packets"), flows))
-    packets = Trace.concat(runs)
-    sizes = np.fromiter(map(len, runs), np.int64, len(runs))
-    ends = np.cumsum(sizes)
-    begins = ends - sizes
     group = None
     if clustered:
-        group = np.zeros(len(flows), dtype=np.int64)
-        for field in ("src", "src_port", "dst_port"):
-            codes, labels = _rank_codes([getattr(f.key, field) for f in flows])
-            group = group * len(labels) + codes
-
-    def distinct(attr: str) -> tuple[np.ndarray, np.ndarray]:
-        return _distinct_pairs(np.repeat(np.arange(len(flows)), sizes), getattr(packets, attr))
-
-    ts = packets.ts
-    return _FlowColumns(
-        sizes, ts[begins], ts[ends - 1], group, flows[0].key.dst_port is not None, distinct,
-        lambda members: packets.take(_positions(begins[members], ends[members])),
-    )
+        ranked = [_string_codes([getattr(f.key, field) for f in flows]) for field in ("src", "src_port", "dst_port")]
+        group = _group([(codes, len(labels)) for labels, (codes,) in ranked])
+    keyed = [attr for attr, value in zip(_KEY_ATTRS, flows[0].key) if value is not None]
+    return _FlowColumns(Trace.concat(runs), np.fromiter(map(len, runs), np.int64, len(runs)), keyed, group)
 
 
 def _attack_runs(
@@ -458,10 +450,10 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
 
 def _attack_clusters(
     trace: Trace, preset: DetectionPreset
-) -> tuple[_KeyedSplit, np.ndarray, _FlowColumns, np.ndarray, np.ndarray] | None:
+) -> tuple[_KeyedSplit, _FlowColumns, np.ndarray, np.ndarray] | None:
     """The preset's flows over ``trace`` and its attacking clusters: (split,
-    flow starts, flow columns, members, heads) as :func:`_attack_runs` gives
-    them, or None for a trace with no flows."""
+    flow columns, members, heads) as :func:`_attack_runs` gives them, or
+    None for a trace with no flows."""
     thresholds = preset.thresholds
     split = _KeyedSplit(trace, preset.scheme)
     starts = split.flow_starts(thresholds.idle_timeout)
@@ -469,7 +461,7 @@ def _attack_clusters(
         return None
     columns = _split_columns(split, starts, thresholds)
     ((members, heads),) = _attack_runs(columns, [thresholds])
-    return split, starts, columns, members, heads
+    return split, columns, members, heads
 
 
 def detect_attacks(
@@ -485,8 +477,8 @@ def detect_attacks(
     clusters = _attack_clusters(as_trace(events), preset)
     if clusters is None:
         return []
-    split, starts, columns, members, heads = clusters
-    first = starts[members]
+    split, columns, members, heads = clusters
+    first = columns.begins[members]
     return _attack_events(columns, members, heads, split.flows(first, first + columns.sizes[members]))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
@@ -291,10 +292,16 @@ def serialize_event(event: PacketEvent) -> str:
     )
 
 
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a non-UTF-8 byte
+
+
 def _nonblank_lines(path: str) -> Iterator[tuple[int, str]]:
-    with open(path, encoding="utf-8") as handle:
+    """The stripped non-blank lines of a text file and their numbers; a line that is not UTF-8 raises FormatError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.strip()
+            if _UNDECODABLE.search(line):
+                raise FormatError(f"line {line_no}: not valid UTF-8")
             if line:
                 yield line_no, line
 
@@ -307,17 +314,18 @@ def load_trace(path: str) -> Trace:
     how the file was produced.
 
     Lines are decoded in chunks, one ``json.loads`` per chunk, and checked
-    column by column. A chunk fails only on a line that
-    :func:`parse_event_line` rejects; the file is then read again line by
-    line with that parser, which raises the :class:`FormatError` naming the
-    first bad line.
+    column by column. A chunk fails only on a line that is not UTF-8 or
+    that :func:`parse_event_line` rejects; the file is then read again line
+    by line with that parser only to raise the :class:`FormatError` naming
+    the first bad line.
     """
-    from .trace import Trace, _read_trace  # the trace module builds on this one
+    from .trace import _read_trace  # the trace module builds on this one
 
     trace = _read_trace(path, ipv4_to_int)
     if trace is None:
-        events = [parse_event_line(line, line_no) for line_no, line in _nonblank_lines(path)]
-        trace = Trace.from_events(sorted(events, key=trace_sort_key))
+        for line_no, line in _nonblank_lines(path):
+            parse_event_line(line, line_no)
+        raise AssertionError(f"{path}: the chunked reader rejected a file the per-line parser accepts")
     return trace
 
 

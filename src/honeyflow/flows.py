@@ -147,13 +147,6 @@ _PORTS = range(65536)
 _BLOCK = 1024
 
 
-def _positions(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The positions ``starts[i]:stops[i]``, range after range."""
-    sizes = stops - starts
-    begins = np.cumsum(sizes) - sizes  # where each range begins in the result
-    return np.arange(sizes.sum()) + np.repeat(starts - begins, sizes)
-
-
 def _prefix_codes(trace: Trace, plen: int) -> tuple[np.ndarray, list[str]]:
     """The sources of ``trace`` coded by the rank of their /plen CIDR string, and the sorted strings."""
     mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
@@ -173,10 +166,11 @@ class _KeyedSplit:
     ordering by :meth:`FlowKey.sort_key`. The trace's own codes are such
     ranks; a prefix-keyed source is ranked over the trace's address table.
     One stable sort by (key, ts) puts each key's packets together in stream
-    order; the key-change mask and the inter-packet gaps of that order are
-    computed once. A flow is then a run of the order that starts at a key
-    change or at a gap over the idle timeout, so every timeout splits the
-    same arrays and nothing is keyed again.
+    order, kept as one selection of the trace, ``sorted``; the key-change
+    mask and the inter-packet gaps of that order are computed once. A flow
+    is then a run of ``sorted`` that starts at a key change or at a gap over
+    the idle timeout, so every timeout splits the same arrays and nothing is
+    keyed again.
     """
 
     def __init__(self, trace: Trace, scheme: FlowScheme) -> None:
@@ -190,6 +184,7 @@ class _KeyedSplit:
         self.key_attrs = tuple(attr for attr, on in zip(_KEY_ATTRS, used) if on)
         key_columns = [self._rank(attr) for attr in self.key_attrs]
         self.order = np.lexsort([ts] + [codes for codes, _ in reversed(key_columns)])
+        self.sorted = trace.take(self.order)
         self.ts = ts[self.order]
         self._columns = {
             attr: (codes[self.order], labels) for attr, (codes, labels) in zip(self.key_attrs, key_columns)
@@ -251,10 +246,6 @@ class _KeyedSplit:
                 fields.append(repeat(None))
         return list(map(FlowKey, *fields))
 
-    def packets(self, starts: np.ndarray, stops: np.ndarray) -> Trace:
-        """The packets at sorted positions ``starts[i]:stops[i]``, range after range."""
-        return self.trace.take(self.order[_positions(starts, stops)])
-
     def flows(self, starts: np.ndarray, stops: np.ndarray) -> list[Flow]:
         """The flows over sorted positions ``starts[i]:stops[i]``, in the given order.
 
@@ -265,12 +256,11 @@ class _KeyedSplit:
         somewhere = dict(zip(key_of.tolist(), starts.tolist()))  # a sorted position of each distinct key
         keys = dict(zip(somewhere, self._keys(np.fromiter(somewhere.values(), np.intp, len(somewhere)))))
         del somewhere
-        order, take = self.order, self.trace.take
-        flows = []
+        flows, rows = [], self.sorted
         for block in range(0, len(starts), _BLOCK):  # whole int lists would outweigh the flows being built
             window = slice(block, block + _BLOCK)
             runs = zip(key_of[window].tolist(), starts[window].tolist(), stops[window].tolist())
-            flows += [Flow(keys[k], take(order[a:b])) for k, a, b in runs]
+            flows += [Flow(keys[k], rows[a:b]) for k, a, b in runs]
         return flows
 
 

@@ -190,6 +190,8 @@ def test_converge_draws_one_sample(tmp_path, corpus_dir, monkeypatch):
         (("--n-permutations", "0", "--batch", "0"), "n_permutations must be >= 1: 0"),
         (("--n-permutations", "5", "--batch", "0"), "batch must be >= 1: 0"),
         (("--seed", "-1"), "seed must be >= 0: -1"),
+        (("--n-permutations", "10000001"), "n_permutations must be <= 10000000: 10000001"),
+        (("--batch", "10000001"), "batch must be <= 10000000: 10000001"),
     ],
 )
 def test_converge_count_errors_exit_2(tmp_path, corpus_dir, capsys, flags, message):
@@ -200,6 +202,17 @@ def test_converge_count_errors_exit_2(tmp_path, corpus_dir, capsys, flags, messa
     assert code == 2
     assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
     assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_converge_over_the_cap_exits_2_at_once(tmp_path, corpus_dir):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "honeyflow", "converge", "--events", str(corpus_dir / "events.jsonl"),
+         "--preset", "ccc", "--n-permutations", "10000000000000", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "honeyflow: error: n_permutations must be <= 10000000: 10000000000000\n"
 
 
 def test_overlap(tmp_path, corpus_dir):
@@ -447,6 +460,30 @@ def test_too_deeply_nested_input_exits_2(tmp_path, corpus_dir, capsys, argv, nam
     assert run_cli(*argv, str(deep), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--preset", "ccc", "--events"],
+    ["overlap", "--preset", "ccc", "--baseline"],
+    ["evade", "--profiles"],
+    ["scanners", "--preset", "ccc", "--scanners"],
+])
+def test_bytes_not_utf8_exit_2(tmp_path, corpus_dir, capsys, argv):
+    good = {
+        "detect": corpus_dir / "events.jsonl",
+        "overlap": corpus_dir / "baseline.jsonl",
+        "scanners": corpus_dir / "scanners.txt",
+    }.get(argv[0])
+    line = good.read_bytes().splitlines()[0] if good else (
+        b'{"name": "NTP", "dst_port": 123, "request_size": 13.0, "amplification_factor": 557.0,'
+        b' "amplifier_count": 2300000}'
+    )
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(line + b"\n" + line.replace(b"1", b"\xff", 1) + b"\n")
+    if argv[0] in ("overlap", "scanners"):
+        argv = [*argv[:-1], "--events", str(corpus_dir / "events.jsonl"), argv[-1]]
+    assert run_cli(*argv, str(bad), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "honeyflow: error: line 2: not valid UTF-8\n"
 
 
 def test_help_cites_preset_sources(capsys):

@@ -146,6 +146,8 @@ def test_ensemble_validation():
         permutation_ensemble({"a": {1}}, n_permutations=0)
     with pytest.raises(ValueError, match="^seed must be >= 0: -1$"):
         permutation_ensemble({"a": {1}}, seed=-1)
+    with pytest.raises(ValueError, match="^n_permutations must be <= 10000000: 10000001$"):
+        permutation_ensemble({"a": {1}}, n_permutations=10**7 + 1)
     assert permutation_ensemble({"a": {1}}, n_permutations=2, seed=None).n_permutations == 2
 
 
@@ -356,6 +358,10 @@ def test_stability_validation():
         stability_trace({"a": {1}}, max_permutations=0)
     with pytest.raises(ValueError, match="^seed must be >= 0: -1$"):
         stability_trace({"a": {1}}, seed=-1)
+    with pytest.raises(ValueError, match="^batch must be <= 10000000: 10000001$"):
+        stability_trace({"a": {1}}, batch=10**7 + 1)
+    with pytest.raises(ValueError, match="^max_permutations must be <= 10000000: 10000001$"):
+        stability_trace({"a": {1}}, max_permutations=10**7 + 1)
 
 
 def test_capture_recapture_values():

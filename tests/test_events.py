@@ -223,6 +223,45 @@ def test_too_deeply_nested_records_are_format_errors(tmp_path):
         parse_event_line('{"ts": ' + TOO_DEEP, 3)
 
 
+def test_bytes_not_utf8_name_their_line(tmp_path):
+    # 0xff begins no UTF-8 sequence; ED B2 80 would encode a lone surrogate
+    events, baseline, profiles, scanners = (
+        tmp_path / name for name in ("events.jsonl", "baseline.jsonl", "profiles.jsonl", "scanners.txt")
+    )
+    write_trace([sample_event()], str(events))
+    write_baseline([BaselineAttack(1.0, 2.0, frozenset({123}), frozenset({"203.0.113.0/24"}))], str(baseline))
+    write_profiles([ProtocolProfile("NTP", 123, 13.0, 557.0, 2_300_000)], str(profiles))
+    scanners.write_text("# feed \u00e9\n1.2.3.4\n", encoding="utf-8")  # valid UTF-8 beyond ASCII passes
+    for path, load in ((events, load_trace), (baseline, load_baseline), (profiles, load_profiles),
+                       (scanners, load_scanner_list)):
+        good = path.read_bytes()
+        load(str(path))
+        lines = good.splitlines()
+        for bad in (b"\xff", b"\xed\xb2\x80"):
+            path.write_bytes(good + lines[-1].replace(b"1", bad, 1) + b"\n")
+            with pytest.raises(FormatError, match=f"^line {len(lines) + 1}: not valid UTF-8$"):
+                load(str(path))
+
+
+def test_first_bad_line_wins_over_a_bad_byte(tmp_path):
+    path = tmp_path / "events.jsonl"
+    good = serialize_event(sample_event()).encode()
+    path.write_bytes(good + b"\n{\n" + good.replace(b"s", b"\xff", 1) + b"\n")
+    with pytest.raises(FormatError, match="^line 2: malformed event record"):
+        load_trace(str(path))
+    path.write_bytes(good + b"\n" + good.replace(b"s", b"\xff", 1) + b"\n{\n")
+    with pytest.raises(FormatError, match="^line 2: not valid UTF-8$"):
+        load_trace(str(path))
+
+
+def test_load_trace_fallback_only_diagnoses(tmp_path, monkeypatch):
+    path = tmp_path / "events.jsonl"
+    write_trace([sample_event()], str(path))
+    monkeypatch.setattr(trace_module, "_read_trace", lambda path, check_address: None)
+    with pytest.raises(AssertionError, match="events.jsonl: the chunked reader rejected"):
+        load_trace(str(path))
+
+
 def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
     path = tmp_path / "events.jsonl"
     write_trace([sample_event(ts=1.0), sample_event(ts=2.0), sample_event(ts=3.0)], str(path))

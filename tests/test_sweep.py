@@ -110,6 +110,10 @@ _SWEEP_CASES = {
     "platform-sensors": (PRESETS["amppotmod"].scheme, {"min_sensors": 2}),
     "platform-sensors-ports": (_PLATFORM_ALL_PORTS, {"min_sensors": 2, "min_dst_ports": 2, "comparison": ">"}),
     "hpi-ports": (FlowScheme(scope=PER_SENSOR, use_dst_port=False), {"min_sensors": 2, "min_dst_ports": 2}),
+    # the two sources share a /16, so their flows cluster by prefix
+    "hpi-prefix": (
+        FlowScheme(scope=PER_SENSOR, use_src_addr=False, use_src_prefix=True, src_prefix_len=16), {"min_sensors": 2}
+    ),
 }
 
 
