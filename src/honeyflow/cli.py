@@ -197,12 +197,21 @@ def _bitrate(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a bitrate: {text!r}") from exc
 
 
+def _read(reader, path: str):
+    """``reader(path)``, with a FormatError prefixed by the path: a subcommand reading
+    two inputs then says which one is at fault."""
+    try:
+        return reader(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_detect(parser: _Parser, args) -> int:
     detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
-    events = load_trace(args.events)
+    events = _read(load_trace, args.events)
     attacks = detect_attacks(events, detector)
     if args.carpet:
         attacks = attacks + detect_carpet_bombing(
@@ -230,7 +239,7 @@ def _cmd_detect(parser: _Parser, args) -> int:
 
 def _cmd_sweep(parser: _Parser, args) -> int:
     out = _resolve_out(args)
-    events = load_trace(args.events)
+    events = _read(load_trace, args.events)
     scheme = PRESETS[args.scheme].scheme
     base = AttackThresholds(
         name="sweep",
@@ -258,9 +267,11 @@ def _cmd_sweep(parser: _Parser, args) -> int:
 def _cmd_converge(parser: _Parser, args) -> int:
     detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
-    events = load_trace(args.events)
+    events = _read(load_trace, args.events)
     attacks = detect_attacks(events, detector)
     mapping = sensor_victim_map(attacks)
+    if not mapping:
+        raise ValueError(f"{args.events}: {detector.name} detected no attack, so there is nothing to converge")
     curve = greedy_order(mapping, strategy=args.strategy)
     stats, trace = _ensemble_and_trace(mapping, args.n_permutations, args.batch, args.seed)
     write_greedy_csv(curve, os.path.join(out, "greedy.csv"))
@@ -282,8 +293,8 @@ def _cmd_converge(parser: _Parser, args) -> int:
 def _cmd_overlap(parser: _Parser, args) -> int:
     detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
-    events = load_trace(args.events)
-    baseline = load_baseline(args.baseline)
+    events = _read(load_trace, args.events)
+    baseline = _read(load_baseline, args.baseline)
     attacks = detect_attacks(events, detector)
     report = overlap_report(attacks, events, baseline, slack_s=args.slack)
     write_overlap_json(report, os.path.join(out, "overlap.json"))
@@ -296,8 +307,8 @@ def _cmd_overlap(parser: _Parser, args) -> int:
 def _cmd_scanners(parser: _Parser, args) -> int:
     detector, config = _resolve_detector(parser, args)
     out = _resolve_out(args)
-    events = load_trace(args.events)
-    scanners = load_scanner_list(args.scanners)
+    events = _read(load_trace, args.events)
+    scanners = _read(load_scanner_list, args.scanners)
     classification = classify_sources(scanners, events, detector.scheme, detector.thresholds)
     write_source_classes_csv(classification, os.path.join(out, "sources.csv"))
     write_class_shares_csv(classification, os.path.join(out, "shares.csv"))
@@ -308,7 +319,7 @@ def _cmd_scanners(parser: _Parser, args) -> int:
 
 def _cmd_evade(parser: _Parser, args) -> int:
     out = _resolve_out(args)
-    profiles = BUILTIN_PROFILES if args.profiles == "builtin" else tuple(load_profiles(args.profiles))
+    profiles = BUILTIN_PROFILES if args.profiles == "builtin" else tuple(_read(load_profiles, args.profiles))
     rows = evasion_rows(
         profiles,
         attack_load_bps=args.load,

@@ -11,9 +11,13 @@ work). Three views:
 * a stability trace showing how those summaries move as the permutation
   sample grows, to justify a sample size far below n! orderings.
 
-Random orders are drawn in chunks and OR-accumulated over packed uint64
-victim bitsets; each order only adds its covered counts to one histogram per
-rank, so the sample is never held and every summary reads the histograms.
+Both the greedy order and the random ones run over packed uint64 victim
+bitsets, a row per sensor. Random orders are drawn in chunks and gathered
+rank-major, one contiguous block per rank holding that rank's sensor of
+every order, so a rank's coverage is one OR of the block before it into its
+own. Each order only adds its covered counts to one histogram per rank, so
+the sample is never held, and every summary reads the histograms with one
+binary search over their cumulative counts.
 
 Capture-recapture lives here too: the two-sample population estimate used
 to extrapolate how many victims exist beyond any sensor's view.
@@ -84,6 +88,16 @@ def _check_mapping(mapping: Mapping[str, set]) -> None:
         raise ValueError("sensor map must be non-empty")
 
 
+def _victim_words(mapping: Mapping[str, set]) -> tuple[np.ndarray, int]:
+    """Packed uint64 victim bitsets, a row per sensor in sorted id order, and the union size."""
+    index: dict[Hashable, int] = {}
+    rows = [[index.setdefault(v, len(index)) for v in mapping[s]] for s in sorted(mapping)]
+    bits = np.zeros((len(rows), -(-len(index) // 64) * 64), dtype=bool)
+    for row, victims in zip(bits, rows):
+        row[victims] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64), len(index)
+
+
 def greedy_order(
     mapping: Mapping[str, set],
     strategy: str = GREEDY_MAX_COVERAGE,
@@ -101,34 +115,30 @@ def greedy_order(
     if strategy not in (GREEDY_MAX_COVERAGE, GREEDY_STATIC_SORT):
         raise ValueError(f"unknown strategy: {strategy!r}")
 
+    sensors = sorted(mapping)
+    words, union_size = _victim_words(mapping)
     if strategy == GREEDY_STATIC_SORT:
-        order = sorted(mapping, key=lambda s: (-len(mapping[s]), s))
+        order = sorted(range(len(sensors)), key=lambda i: -len(mapping[sensors[i]]))  # stable: ties in id order
     else:
-        remaining = sorted(mapping)
-        covered: set = set()
+        # rows are in sensor id order and argmax takes the first largest gain, so ties break
+        # lexicographically; a picked row gains 0 from then on, so it is masked below any real gain
+        unseen = words.copy()
         order = []
-        while remaining:
-            best = min(remaining, key=lambda s: (-len(mapping[s] - covered), s))
-            order.append(best)
-            covered |= mapping[best]
-            remaining.remove(best)
+        for _ in sensors:
+            gains = np.bitwise_count(unseen).sum(axis=1, dtype=np.int64)
+            gains[order] = -1
+            order.append(int(gains.argmax()))
+            unseen &= ~words[order[-1]]
 
-    covered = set()
-    new_victims = []
-    cumulative = []
-    for sensor in order:
-        gained = len(mapping[sensor] - covered)
-        covered |= mapping[sensor]
-        new_victims.append(gained)
-        cumulative.append(len(covered))
-    union_size = cumulative[-1]
+    counts = np.bitwise_count(np.bitwise_or.accumulate(words[order], axis=0)).sum(axis=1, dtype=np.int64)
+    cumulative = counts.tolist()
     if union_size:
         shares = tuple(c / union_size for c in cumulative)
     else:
         shares = tuple(1.0 for _ in cumulative)
     return ConvergenceCurve(
-        sensors=tuple(order),
-        new_victims=tuple(new_victims),
+        sensors=tuple(sensors[i] for i in order),
+        new_victims=tuple(np.diff(counts, prepend=0).tolist()),
         cumulative=tuple(cumulative),
         shares=shares,
         union_size=union_size,
@@ -156,7 +166,9 @@ class RankStatistics:
         return len(self.medians)
 
 
-_MAX_COUNT = 10**7  # the largest count or batch accepted: about 80 s of drawing at 8 us per order
+# the largest count or batch accepted: on 50 sensors x 2000 victims (2 cores, numpy 2.4) about 60 s
+# of drawing at 6 us per order, and twice that when a trace reads its summaries every 100 orders
+_MAX_COUNT = 10**7
 
 
 def _check_count(name: str, value: int) -> None:
@@ -171,8 +183,9 @@ def _check_seed(seed: int | None) -> None:
         raise ValueError(f"seed must be >= 0: {seed}")
 
 
-# bytes of victim words gathered per chunk of orders: 0.25-4 MB chunks ran alike (2 cores,
-# numpy 2.4), and at 2 MB a batch of 100 orders over 50 sensors x 2000 victims is one chunk
+# bytes of victim words gathered per chunk of orders. On 50 sensors x 2000 victims (2 cores, numpy
+# 2.4) 1-4 MB chunks drew 5-7 us per order, 0.5 MB 7-8 us and 0.25 MB 10-17 us, where the per-rank
+# calls dominate. At 2 MB a batch of 100 orders is one chunk.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -182,31 +195,34 @@ class _CountSample:
     sensor ids from ``default_rng(seed)``, however the draws are chunked."""
 
     def __init__(self, mapping: Mapping[str, set], seed: int | None) -> None:
-        index: dict[Hashable, int] = {}
-        rows = [[index.setdefault(v, len(index)) for v in mapping[s]] for s in sorted(mapping)]
-        bits = np.zeros((len(rows), -(-len(index) // 64) * 64), dtype=bool)
-        for row, victims in zip(bits, rows):
-            row[victims] = True
-        self.words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)  # a row per sensor
-        self.union_size = len(index)
-        self.hist = np.zeros((len(rows), self.union_size + 1), dtype=np.int64)
+        self.words, self.union_size = _victim_words(mapping)  # a row per sensor
+        n_sensors, n_words = self.words.shape
+        self.hist = np.zeros((n_sensors, self.union_size + 1), dtype=np.int64)
         self.size = 0
         self._rng = np.random.default_rng(seed)
-        chunk = max(1, _CHUNK_BYTES // (self.words.nbytes + 8 * len(rows)))
-        self._covered = np.empty((chunk, *self.words.shape), dtype=np.uint64)
+        self._chunk = max(1, _CHUNK_BYTES // (self.words.nbytes + 8 * n_sensors))
+        self._covered = np.empty(self._chunk * self.words.size, dtype=np.uint64)
         self._bits = np.empty(self._covered.shape, dtype=np.uint8)
+        # int32 holds any count: before a union reaches 2**31 its histograms need 16 GB per rank,
+        # and its sums ran 1.5x faster than int64 ones
+        self._counts = np.empty(self._chunk * n_sensors, dtype=np.int32)
 
     def extend(self, n: int) -> None:
         """Draw ``n`` more orders and add the victims each rank covers to the histograms."""
-        n_sensors = len(self.words)
-        offsets = np.arange(n_sensors) * (self.union_size + 1)
-        for start in range(0, n, len(self._covered)):
-            k = min(len(self._covered), n - start)
+        n_sensors, n_words = self.words.shape
+        offsets = np.arange(n_sensors)[:, None] * (self.union_size + 1)
+        for start in range(0, n, self._chunk):
+            k = min(self._chunk, n - start)
             orders = self._rng.permuted(np.tile(np.arange(n_sensors), (k, 1)), axis=1)
-            # every index is in range; "clip" only spares take its buffered bounds check
-            covered = np.take(self.words, orders, axis=0, out=self._covered[:k], mode="clip")
-            np.bitwise_or.accumulate(covered, axis=1, out=covered)
-            counts = np.bitwise_count(covered, out=self._bits[:k]).sum(axis=2, dtype=np.int64)
+            # rank-major: covered[r] holds rank r + 1 of all k orders as one contiguous block;
+            # every index is in range, "clip" only spares take its buffered bounds check
+            covered = self._covered[: k * self.words.size].reshape(n_sensors, k, n_words)
+            np.take(self.words, orders.T, axis=0, out=covered, mode="clip")
+            for rank in range(1, n_sensors):
+                np.bitwise_or(covered[rank], covered[rank - 1], out=covered[rank])
+            bits = np.bitwise_count(covered, out=self._bits[: covered.size].reshape(covered.shape))
+            counts = self._counts[: n_sensors * k].reshape(n_sensors, k)
+            np.add.reduce(bits, axis=2, dtype=np.int32, out=counts)  # ndarray.sum took 0.45 MB more peak RSS
             self.hist += np.bincount((counts + offsets).ravel(), minlength=self.hist.size).reshape(self.hist.shape)
         self.size += n
 
@@ -214,16 +230,20 @@ class _CountSample:
         """Per-rank shares at quantiles in [0, 1] (0 is the min, 1 the max), exactly as
         ``np.percentile``'s linear method gives them; 1.0 when the union is empty."""
         n, union = self.size, self.union_size
+        rows = np.arange(len(self.hist))
+        # the j-th smallest count (from 0) is how many cumulative counts are <= j; row r shifted
+        # by r * (n + 1) keeps the flattened rows sorted, so one search reads every rank
         cumulative = self.hist.cumsum(axis=1)
+        cumulative += rows[:, None] * (n + 1)
+        virtual = [n * q + (1 - q) - 1 for q in quantiles]
+        below = [math.floor(v) for v in virtual]
+        needles = np.array([(j, j + 1) for j in below])[:, :, None] + rows * (n + 1)
+        counts = np.searchsorted(cumulative.ravel(), needles, side="right") - rows * (union + 1)
         out = []
-        for q in quantiles:
-            virtual = n * q + (1 - q) - 1
-            below = math.floor(virtual)
-            t = virtual - below
-            # the j-th smallest count (from 0) is how many cumulative counts are <= j;
+        for v, j, pair in zip(virtual, below, counts):
+            t = v - j
             # at j = n, past the largest, t is 0 and b drops out as in numpy's clipped read
-            a, b = ((cumulative <= j).sum(axis=1) / union if union else np.ones(len(cumulative))
-                    for j in (below, below + 1))
+            a, b = (c / union if union else np.ones(len(c)) for c in pair)
             # numpy's _lerp works from b when t >= 0.5
             out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
         return out

@@ -18,7 +18,8 @@ and carpet oracles build their events with :func:`oracle_attack_event`,
 which reads each flow through its properties where the engine reads
 packet columns. The
 permutation-sample oracle is the shares matrix and ``np.percentile``
-summaries that the convergence count histograms replaced.
+summaries that the convergence count histograms replaced, and the greedy
+oracle is the set-difference loop that the bitset greedy order replaced.
 """
 
 from __future__ import annotations
@@ -716,3 +717,46 @@ def oracle_stability_points(shares, batch):
             points.append(StabilityPoint(done, *map(_relative_delta, summary, prev)))
         prev = summary
     return points
+
+
+# -- greedy-order oracle --------------------------------------------------------
+#
+# The set-difference loop greedy_order ran before it read packed victim
+# bitsets: each step takes the remaining sensor with the most unseen victims,
+# ties to the smallest id. greedy_order must stay equal to it, field for field.
+
+def oracle_greedy_order(mapping, strategy="max-coverage"):
+    from honeyflow.convergence import GREEDY_STATIC_SORT, ConvergenceCurve
+
+    if strategy == GREEDY_STATIC_SORT:
+        order = sorted(mapping, key=lambda s: (-len(mapping[s]), s))
+    else:
+        remaining = sorted(mapping)
+        covered: set = set()
+        order = []
+        while remaining:
+            best = min(remaining, key=lambda s: (-len(mapping[s] - covered), s))
+            order.append(best)
+            covered |= mapping[best]
+            remaining.remove(best)
+
+    covered = set()
+    new_victims = []
+    cumulative = []
+    for sensor in order:
+        gained = len(mapping[sensor] - covered)
+        covered |= mapping[sensor]
+        new_victims.append(gained)
+        cumulative.append(len(covered))
+    union_size = cumulative[-1]
+    if union_size:
+        shares = tuple(c / union_size for c in cumulative)
+    else:
+        shares = tuple(1.0 for _ in cumulative)
+    return ConvergenceCurve(
+        sensors=tuple(order),
+        new_victims=tuple(new_victims),
+        cumulative=tuple(cumulative),
+        shares=shares,
+        union_size=union_size,
+    )

@@ -299,7 +299,9 @@ def test_evade_bad_inputs_exit_2(tmp_path, capsys, argv, message):
         path.write_text(json.dumps({**_PROFILE, **value}) + "\n")
         value = str(path)
     assert run_cli("evade", flag, value, "--out", str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
+    # a reader's per-line error is prefixed by the file it read; the rest come from evasion_rows
+    named = f"{value}: " if message.startswith("line ") else ""
+    assert capsys.readouterr().err == f"honeyflow: error: {named}{message}\n"
     assert not (tmp_path / "out" / "evasion.csv").exists()
 
 
@@ -483,7 +485,40 @@ def test_bytes_not_utf8_exit_2(tmp_path, corpus_dir, capsys, argv):
     if argv[0] in ("overlap", "scanners"):
         argv = [*argv[:-1], "--events", str(corpus_dir / "events.jsonl"), argv[-1]]
     assert run_cli(*argv, str(bad), "--out", str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err == "honeyflow: error: line 2: not valid UTF-8\n"
+    assert capsys.readouterr().err == f"honeyflow: error: {bad}: line 2: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command, other, bad_flag", [
+    ("overlap", "--baseline", "--baseline"),
+    ("overlap", "--baseline", "--events"),
+    ("scanners", "--scanners", "--scanners"),
+    ("scanners", "--scanners", "--events"),
+])
+def test_format_error_names_the_bad_input(tmp_path, corpus_dir, capsys, command, other, bad_flag):
+    # of the two inputs only the one at fault is named, and the library's text follows unchanged
+    names = {"--events": "events.jsonl", "--baseline": "baseline.jsonl", "--scanners": "scanners.txt"}
+    flags = []
+    for flag in ("--events", other):
+        data = (corpus_dir / names[flag]).read_bytes()
+        path = tmp_path / names[flag]
+        path.write_bytes(data.replace(b"\n", b"\n\xff", 1) if flag == bad_flag else data)
+        flags += [flag, str(path)]
+    assert run_cli(command, "--preset", "ccc", *flags, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"honeyflow: error: {tmp_path / names[bad_flag]}: line 2: not valid UTF-8\n"
+    )
+
+
+def test_converge_without_attacks_exit_2(tmp_path, corpus_dir, capsys):
+    # one packet is no attack under ccc, so there is no sensor map to converge over
+    events = tmp_path / "one.jsonl"
+    events.write_bytes((corpus_dir / "events.jsonl").read_bytes().splitlines(keepends=True)[0])
+    assert run_cli("converge", "--events", str(events), "--preset", "ccc",
+                   "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"honeyflow: error: {events}: ccc detected no attack, so there is nothing to converge\n"
+    )
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_help_cites_preset_sources(capsys):
