@@ -162,21 +162,14 @@ def _meets(index: _Index, key: _Key, lo: float, hi: float) -> bool:
     return pos > 0 and reach[pos - 1] >= lo
 
 
-def _record_keys(baseline: Sequence[BaselineAttack]) -> list[list[_Key]]:
-    """Per record, its key per port and prefix."""
-    keys = []
-    for record in baseline:
-        nets = [prefix_net_mask(prefix) for prefix in record.prefixes]
-        keys.append([(port, mask, net) for port in record.protocols or (None,) for net, mask in nets])
-    return keys
-
-
-def _filed(keys: list[list[_Key]]) -> tuple[dict[_Key, list], list[int]]:
-    """An empty list under each key of the records' ``keys``, and their masks
-    in ascending order. Observations are filed only under these keys, so
-    those no record can see are never stored."""
+def _filed(baseline: Sequence[BaselineAttack]) -> tuple[list[list[_Key]], dict[_Key, list], list[int]]:
+    """Per record, its key per port and prefix; an empty list under each of
+    these keys; and their masks in ascending order. Observations are filed
+    only under these keys, so those no record can see are never stored."""
+    keys = [[(port, mask, net) for port in record.protocols or (None,) for net, mask in record.nets]
+            for record in baseline]
     filed: dict[_Key, list] = {key: [] for record_keys in keys for key in record_keys}
-    return filed, sorted({mask for _, mask, _ in filed})
+    return keys, filed, sorted({mask for _, mask, _ in filed})
 
 
 def _covered_ports(
@@ -197,7 +190,6 @@ def match_baseline(
     baseline: Sequence[BaselineAttack],
     *,
     slack_s: float = 0.0,
-    _keys: list[list[_Key]] | None = None,
 ) -> OverlapReport:
     """Match detected attack events against baseline records.
 
@@ -212,8 +204,7 @@ def match_baseline(
     """
     if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
-    keys = _record_keys(baseline) if _keys is None else _keys
-    filed, masks = _filed(keys)
+    keys, filed, masks = _filed(baseline)
     record_spans: dict[_Key, list[tuple[float, float]]] = {}
     for record, record_keys in zip(baseline, keys):
         span = (record.start_ts - slack_s, record.end_ts + slack_s)
@@ -271,7 +262,6 @@ def upper_bound(
     baseline: Sequence[BaselineAttack],
     *,
     slack_s: float = 0.0,
-    _keys: list[list[_Key]] | None = None,
 ) -> UpperBoundFragment:
     """Packet-level coverage: the detector's matching rule with every packet
     believed as a zero-length attack on its source address.
@@ -285,8 +275,7 @@ def upper_bound(
     if not slack_s >= 0:  # NaN too: no window can be widened by it
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
     trace = as_trace(events)
-    keys = _record_keys(baseline) if _keys is None else _keys
-    filed, masks = _filed(keys)
+    keys, filed, masks = _filed(baseline)
     # packets are zero-length spans; in ts order, the stamps under a key are
     # their own running maximum. Per mask, a key (port, mask, net) is coded
     # as net << 17 | port, with _NO_PORT for port None.
@@ -325,9 +314,8 @@ def overlap_report(
     slack_s: float = 0.0,
 ) -> OverlapReport:
     """Detector matching and packet-level upper bound in one report."""
-    keys = _record_keys(baseline)
-    report = match_baseline(attacks, baseline, slack_s=slack_s, _keys=keys)
-    fragment = upper_bound(events, baseline, slack_s=slack_s, _keys=keys)
+    report = match_baseline(attacks, baseline, slack_s=slack_s)
+    fragment = upper_bound(events, baseline, slack_s=slack_s)
     for port, count in fragment.per_protocol.items():
         report.per_protocol.setdefault(port, ProtocolOverlap()).matched_upper_bound = count
     report.upper_with_ports = fragment.covered_with_ports

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -114,24 +113,6 @@ class Victim:
 
     def sort_key(self) -> tuple[str, str]:
         return (self.identity, self.granularity)
-
-
-@lru_cache(maxsize=4096)
-def _victim_of_key_src(src: str) -> Victim:
-    if "/" in src:
-        return Victim(src, GRANULARITY_PREFIX)
-    return Victim(src, GRANULARITY_ADDRESS)
-
-
-@lru_cache(maxsize=1024)
-def _shared_set(values: frozenset) -> frozenset:
-    """The first-seen set equal to ``values``.
-
-    Attack events of one trace repeat a handful of sensor and port sets, so
-    sharing them keeps a detector run that emits one event per flow from
-    holding thousands of equal frozensets.
-    """
-    return values
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,11 +357,17 @@ def _cluster_packets(columns: _FlowColumns, members: np.ndarray, heads: np.ndarr
 
 
 def _cluster_sets(clusters: np.ndarray, codes: np.ndarray, labels: Sequence | None, n: int) -> list[frozenset]:
-    """Per cluster 0..n-1, the set of the labels of its codes (the codes themselves without labels)."""
+    """Per cluster 0..n-1, the set of the labels of its codes (the codes themselves without labels).
+
+    Equal sets are one object. The clusters of one trace repeat a handful of
+    sensor and port sets, so a run that emits one event per flow holds those
+    few sets, not thousands of equal ones; nothing is kept after the call.
+    """
     clusters, codes = _distinct_pairs(clusters, codes)
     values = codes.tolist() if labels is None else [labels[code] for code in codes.tolist()]
     cuts = np.searchsorted(clusters, np.arange(n + 1)).tolist()
-    return [_shared_set(frozenset(values[a:b])) for a, b in pairwise(cuts)]
+    shared: dict[frozenset, frozenset] = {}
+    return [shared.setdefault(s, s) for s in (frozenset(values[a:b]) for a, b in pairwise(cuts))]
 
 
 def _attack_events(
@@ -395,7 +382,9 @@ def _attack_events(
     ``flows`` are the Flows of ``members``. An event lists its flows by
     (first_ts, key), and its counts, span and sets are read from the packet
     columns of all clusters at once. Its victim is the one ``victims`` gives
-    for its cluster, else the one its first flow's key names.
+    for its cluster, else the one its first flow's key names; events of one
+    key source then share one Victim, built in this call and kept by nothing
+    else.
     """
     if not len(members):
         return []
@@ -408,12 +397,17 @@ def _attack_events(
     firsts = np.minimum.reduceat(first_ts, heads).tolist()
     lasts = np.maximum.reduceat(last_ts, heads).tolist()
     starts = first_ts.tolist()
+    if victims is None:
+        sources = [flows[a].key.src for a in heads.tolist()]
+        of_source = {
+            src: Victim(src, GRANULARITY_PREFIX if "/" in src else GRANULARITY_ADDRESS) for src in set(sources)
+        }
+        victims = [of_source[src] for src in sources]
     events = []
     for k, (a, b) in enumerate(pairwise(heads.tolist() + [len(members)])):
         order = range(a, b) if b - a == 1 else sorted(range(a, b), key=lambda i: (starts[i], flows[i].key.sort_key()))
-        victim = _victim_of_key_src(flows[a].key.src) if victims is None else victims[k]
         events.append(AttackEvent(
-            victim, tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
+            victims[k], tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
             sensors[k], ports[k],
         ))
     events.sort(key=_event_sort_key)

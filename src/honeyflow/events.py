@@ -91,7 +91,7 @@ def ipv4_to_int(addr: str) -> int:
         raise ValueError(f"not a dotted-quad IPv4 address: {addr!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ValueError(f"not a dotted-quad IPv4 address: {addr!r}")
         if len(part) > 1 and part[0] == "0":
             raise ValueError(f"leading zeros are not allowed in IPv4 octets: {addr!r}")
@@ -113,7 +113,7 @@ def prefix_net_mask(prefix: str) -> tuple[int, int]:
     addr, sep, length = prefix.partition("/")
     if not sep:
         raise ValueError(f"prefix must be written as address/length: {prefix!r}")
-    if not length.isdigit():
+    if not (length.isascii() and length.isdigit()):
         raise ValueError(f"malformed prefix length in {prefix!r}")
     plen = int(length)
     if plen > 32:
@@ -122,10 +122,14 @@ def prefix_net_mask(prefix: str) -> tuple[int, int]:
     return ipv4_to_int(addr) & mask, mask
 
 
+def _cidr(net: int, mask: int) -> str:
+    """The CIDR string of a (network, mask) pair."""
+    return f"{int_to_ipv4(net)}/{mask.bit_count()}"
+
+
 def normalize_prefix(prefix: str) -> str:
     """Canonical CIDR form: host bits zeroed, e.g. ``203.0.113.77/24 -> 203.0.113.0/24``."""
-    net, mask = prefix_net_mask(prefix)
-    return f"{int_to_ipv4(net)}/{mask.bit_count()}"
+    return _cidr(*prefix_net_mask(prefix))
 
 
 # -- packet events ------------------------------------------------------------
@@ -345,12 +349,17 @@ class BaselineAttack:
     no port information and the record matches on prefix+time only (such
     records are tallied separately by the overlap report). ``prefixes`` is a
     non-empty set of CIDR strings, normalized on construction.
+
+    ``nets`` holds the prefixes as (network, mask) integer pairs in
+    ascending order. Each prefix is parsed once, here; matching, sorting
+    and serializing read these pairs and never parse a prefix again.
     """
 
     start_ts: float
     end_ts: float
     protocols: frozenset[int] = field(default_factory=frozenset)
     prefixes: frozenset[str] = field(default_factory=frozenset)
+    nets: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("start_ts", "end_ts"):
@@ -364,9 +373,10 @@ class BaselineAttack:
             _check_port(port, "protocol port")
         if not self.prefixes:
             raise ValueError("prefixes must be non-empty")
-        prefixes = frozenset(normalize_prefix(p) for p in self.prefixes)
+        nets = tuple(sorted({prefix_net_mask(p) for p in self.prefixes}))
         object.__setattr__(self, "protocols", protocols)
-        object.__setattr__(self, "prefixes", prefixes)
+        object.__setattr__(self, "prefixes", frozenset(_cidr(*pair) for pair in nets))
+        object.__setattr__(self, "nets", nets)
 
 
 _BASELINE_KEYS = ("start_ts", "end_ts", "protocols", "prefixes")
@@ -377,7 +387,7 @@ def parse_baseline_line(line: str, line_no: int = 0) -> BaselineAttack:
     _check_record(record, _BASELINE_KEYS, "baseline", line_no)
     protocols = record["protocols"]
     prefixes = record["prefixes"]
-    if not isinstance(protocols, list):
+    if not isinstance(protocols, list) or any(isinstance(p, (list, dict)) for p in protocols):
         raise FormatError(f"line {line_no}: protocols must be a list of ports")
     if not isinstance(prefixes, list) or not all(isinstance(p, str) for p in prefixes):
         raise FormatError(f"line {line_no}: prefixes must be a list of CIDR strings")
@@ -398,7 +408,7 @@ def serialize_baseline(attack: BaselineAttack) -> str:
             "start_ts": attack.start_ts,
             "end_ts": attack.end_ts,
             "protocols": sorted(attack.protocols),
-            "prefixes": sorted(attack.prefixes, key=prefix_net_mask),
+            "prefixes": [_cidr(*pair) for pair in attack.nets],
         },
         separators=(",", ":"),
     )
@@ -406,7 +416,8 @@ def serialize_baseline(attack: BaselineAttack) -> str:
 
 def load_baseline(path: str) -> list[BaselineAttack]:
     records = [parse_baseline_line(line, line_no) for line_no, line in _nonblank_lines(path)]
-    records.sort(key=lambda b: (b.start_ts, b.end_ts, sorted(b.prefixes, key=prefix_net_mask)))
+    # ties in time are ordered by the CIDR strings in (network, mask) order
+    records.sort(key=lambda b: (b.start_ts, b.end_ts, [_cidr(*pair) for pair in b.nets]))
     return records
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .events import PacketEvent, int_to_ipv4
-from .trace import Trace, as_trace
+from .trace import Trace, _ranked, as_trace
 
 __all__ = [
     "PER_SENSOR",
@@ -102,7 +102,7 @@ class FlowKey(NamedTuple):
 
 def flow_key(event: PacketEvent, scheme: FlowScheme) -> FlowKey:
     """The flow identifier of one event under ``scheme``."""
-    return _KeyedSplit(as_trace([event]), scheme)._keys(np.zeros(1, np.intp))[0]
+    return _KeyedSplit(as_trace([event]), scheme)._flow_keys(np.zeros(1, np.intp))[0]
 
 
 class Flow(NamedTuple):
@@ -151,11 +151,8 @@ def _prefix_codes(trace: Trace, plen: int) -> tuple[np.ndarray, list[str]]:
     """The sources of ``trace`` coded by the rank of their /plen CIDR string, and the sorted strings."""
     mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
     nets, net_of_address = np.unique(trace.address_values & mask, return_inverse=True)
-    cidrs = [f"{int_to_ipv4(net)}/{plen}" for net in nets.tolist()]
-    by_label = sorted(range(len(cidrs)), key=cidrs.__getitem__)
-    rank = np.empty(len(cidrs), np.int32)
-    rank[by_label] = np.arange(len(cidrs), dtype=np.int32)
-    return rank[net_of_address][trace.src], [cidrs[i] for i in by_label]
+    cidrs, rank = _ranked({f"{int_to_ipv4(net)}/{plen}": i for i, net in enumerate(nets.tolist())})
+    return rank[net_of_address][trace.src], cidrs
 
 
 class _KeyedSplit:
@@ -209,20 +206,13 @@ class _KeyedSplit:
             return trace.dst, trace.addresses
         return getattr(trace, attr), _PORTS
 
-    def _column(self, attr: str) -> tuple[np.ndarray, Sequence]:
-        column = self._columns.get(attr)
-        if column is None:
-            codes, labels = self._rank(attr)
-            column = self._columns[attr] = (codes[self.order], labels)
-        return column
-
     def codes(self, attr: str) -> np.ndarray:
-        """Rank codes of one event attribute (of the keyed source for ``src_ip``), in sorted order."""
-        return self._column(attr)[0]
+        """Rank codes of one key attribute (of the keyed source for ``src_ip``), in sorted order."""
+        return self._columns[attr][0]
 
     def labels(self, attr: str) -> Sequence:
         """The values that :meth:`codes` numbers: ``labels[code]`` is a code's value."""
-        return self._column(attr)[1]
+        return self._columns[attr][1]
 
     def flow_starts(self, idle_timeout: float) -> np.ndarray:
         """Positions in sorted order where a flow begins under ``idle_timeout``."""
@@ -235,7 +225,7 @@ class _KeyedSplit:
             )
         return np.flatnonzero(self.key_change | (self.gap > idle_timeout))
 
-    def _keys(self, positions: np.ndarray) -> list[FlowKey]:
+    def _flow_keys(self, positions: np.ndarray) -> list[FlowKey]:
         """The FlowKey of the event at each sorted position."""
         fields = []
         for attr in _KEY_ATTRS:
@@ -254,7 +244,7 @@ class _KeyedSplit:
         """
         key_of = self.key_index[starts]
         somewhere = dict(zip(key_of.tolist(), starts.tolist()))  # a sorted position of each distinct key
-        keys = dict(zip(somewhere, self._keys(np.fromiter(somewhere.values(), np.intp, len(somewhere)))))
+        keys = dict(zip(somewhere, self._flow_keys(np.fromiter(somewhere.values(), np.intp, len(somewhere)))))
         del somewhere
         flows, rows = [], self.sorted
         for block in range(0, len(starts), _BLOCK):  # whole int lists would outweigh the flows being built

@@ -469,6 +469,16 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
 
 # -- spec (de)serialization for the CLI ---------------------------------------
 
+# The JSON values each annotation of a spec field takes, and their name in an error.
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple[int, ...]": (lambda v: type(v) is list and all(type(item) is int for item in v), "a list of integers"),
+}
+
+
 def _build(cls, data, what: str):
     if not isinstance(data, dict):
         raise SynthesisError(f"{what} must be a JSON object")
@@ -477,9 +487,13 @@ def _build(cls, data, what: str):
         if key not in names:
             raise SynthesisError(f"unknown key {key!r} in {what}")
     kwargs = dict(data)
-    for name in ("sensors", "ports", "noise_ports"):
-        if isinstance(kwargs.get(name), list):
-            kwargs[name] = tuple(kwargs[name])
+    for f in dataclass_fields(cls):
+        if f.name in kwargs and f.type in _JSON_TYPES:
+            takes, kind = _JSON_TYPES[f.type]
+            if not takes(kwargs[f.name]):
+                raise SynthesisError(f"{what}: {f.name} must be {kind}")
+            if type(kwargs[f.name]) is list:
+                kwargs[f.name] = tuple(kwargs[f.name])
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -490,11 +504,13 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise SynthesisError("scenario spec must be a JSON object")
     top = dict(data)
-    attacks = tuple(_build(AttackSpec, d, "attack spec") for d in top.pop("attacks", []))
-    scans = tuple(_build(ScanSpec, d, "scan spec") for d in top.pop("scans", []))
-    carpets = tuple(_build(CarpetSpec, d, "carpet spec") for d in top.pop("carpets", []))
-    spec = _build(ScenarioSpec, top, "scenario spec")
-    return replace(spec, attacks=attacks, scans=scans, carpets=carpets)
+    parts = {}
+    for name, cls in (("attacks", AttackSpec), ("scans", ScanSpec), ("carpets", CarpetSpec)):
+        items = top.pop(name, [])
+        if not isinstance(items, list):
+            raise SynthesisError(f"scenario spec: {name} must be a list")
+        parts[name] = tuple(_build(cls, d, f"{name[:-1]} spec") for d in items)
+    return replace(_build(ScenarioSpec, top, "scenario spec"), **parts)
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:

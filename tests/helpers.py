@@ -32,11 +32,12 @@ from dataclasses import replace
 
 from honeyflow import FormatError, PacketEvent
 from honeyflow.detection import (
+    GRANULARITY_ADDRESS,
+    GRANULARITY_PREFIX,
     AttackEvent,
+    Victim,
     _check_port_condition,
     _event_sort_key,
-    _shared_set,
-    _victim_of_key_src,
     victims,
 )
 from honeyflow.events import ipv4_to_int
@@ -314,9 +315,14 @@ def oracle_attack_event(victim, flows) -> AttackEvent:
         first_ts=ordered[0].first_ts,
         last_ts=max(f.last_ts for f in ordered),
         total_packets=total,
-        sensors=_shared_set(frozenset(sensors)),
-        dst_ports=_shared_set(frozenset(ports)),
+        sensors=frozenset(sensors),
+        dst_ports=frozenset(ports),
     )
+
+
+def _key_victim(src: str) -> Victim:
+    """The victim a flow key's source names: a prefix if it has a length, else an address."""
+    return Victim(src, GRANULARITY_PREFIX if "/" in src else GRANULARITY_ADDRESS)
 
 
 def oracle_detect(flows, thresholds):
@@ -341,7 +347,7 @@ def oracle_detect(flows, thresholds):
                 continue
             if thresholds.min_sensors > 1 and len(flow.sensors) < thresholds.min_sensors:
                 continue
-            events.append(oracle_attack_event(_victim_of_key_src(flow.key.src), (flow,)))
+            events.append(oracle_attack_event(_key_victim(flow.key.src), (flow,)))
     else:
         groups: dict[FlowKey, list[Flow]] = {}
         for flow in flows:
@@ -361,7 +367,7 @@ def oracle_detect(flows, thresholds):
             distinct = {s for f in cluster for s in f.sensors}
             ports = {p for f in cluster for p in f.dst_ports}
             if len(distinct) >= thresholds.min_sensors and len(ports) >= thresholds.min_dst_ports:
-                events.append(oracle_attack_event(_victim_of_key_src(cluster[0].key.src), cluster))
+                events.append(oracle_attack_event(_key_victim(cluster[0].key.src), cluster))
 
     events.sort(key=_event_sort_key)
     return events
@@ -622,7 +628,6 @@ def oracle_overlap_report(attacks, events, baseline, *, slack_s: float = 0.0):
 def oracle_detect_carpet_bombing(attacks, prefix_len: int = 24, min_flows: int = 16,
                                  window_s: float | None = 900.0):
     """Every anchor rescans every flow of its prefix."""
-    from honeyflow.detection import GRANULARITY_ADDRESS, GRANULARITY_PREFIX, Victim
     from honeyflow.events import int_to_ipv4
 
     if not 0 <= prefix_len <= 32:

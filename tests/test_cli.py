@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import honeyflow.convergence
 from helpers import oracle_overlap_report
@@ -507,6 +513,103 @@ def test_format_error_names_the_bad_input(tmp_path, corpus_dir, capsys, command,
     assert capsys.readouterr().err == (
         f"honeyflow: error: {tmp_path / names[bad_flag]}: line 2: not valid UTF-8\n"
     )
+
+
+@pytest.mark.parametrize("flag, line, message", [
+    pytest.param("--events", '{"ts": 1.0, "sensor": "s1", "src_ip": "١٠.0.0.1", "src_port": 1,'
+                 ' "dst_ip": "192.0.2.1", "dst_port": 123}',
+                 "src_ip: not a dotted-quad IPv4 address: '١٠.0.0.1'", id="address-digits"),
+    pytest.param("--baseline", '{"start_ts": 0, "end_ts": 1, "protocols": [123], "prefixes": ["10.0.0.0/٢٤"]}',
+                 "malformed prefix length in '10.0.0.0/٢٤'", id="prefix-length-digits"),
+    pytest.param("--baseline", '{"start_ts": 0, "end_ts": 1, "protocols": [[1]], "prefixes": ["10.0.0.0/24"]}',
+                 "protocols must be a list of ports", id="port-list"),
+    pytest.param("--baseline", '{"start_ts": 0, "end_ts": 1, "protocols": [{"a": 1}], "prefixes": ["10.0.0.0/24"]}',
+                 "protocols must be a list of ports", id="port-object"),
+])
+def test_bad_field_exit_2(tmp_path, corpus_dir, capsys, flag, line, message):
+    # non-ASCII digits and unhashable ports are format errors of the file that holds them
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    inputs = {"--events": corpus_dir / "events.jsonl", "--baseline": corpus_dir / "baseline.jsonl", flag: bad}
+    argv = [str(x) for item in inputs.items() for x in item]
+    assert run_cli("overlap", "--preset", "ccc", *argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {bad}: line 1: {message}\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"attacks": [{"victim": "1.2.3.4", "sensors": [[1]]}]}, "attack spec: sensors must be a list of integers"),
+    ({"scans": [{"source": "1.2.3.4", "ports": 123}]}, "scan spec: ports must be a list of integers"),
+    ({"attacks": 5}, "scenario spec: attacks must be a list"),
+    ({"carpets": [{"prefix": None}]}, "carpet spec: prefix must be a string"),
+    ({"scans": [{"source": "1.2.3.4", "start": "x"}]}, "scan spec: start must be a number"),
+    ({"noise_packets": 1.5}, "scenario spec: noise_packets must be an integer"),
+])
+def test_synth_bad_field_type_exit_2(tmp_path, capsys, data, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    assert run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
+
+
+_GOOD_BASELINE = (
+    '{"start_ts":0.0,"end_ts":328.9,"protocols":[123],"prefixes":["203.0.113.0/24"]}\n'
+    '{"start_ts":100.0,"end_ts":400.0,"protocols":[53,123],"prefixes":["203.0.113.11/32","198.51.100.0/24"]}\n'
+    '{"start_ts":499.5,"end_ts":551.9,"protocols":[],"prefixes":["198.18.0.0/24"]}\n'
+)
+_ODD_NUMBERS = ["1e400", "-1e400", "NaN", "-Infinity", "-0.0", "1" + "0" * 400, "1" + "0" * 5000, "-5", "0.5",
+                "9" * 25, "true", "null", '"7"']
+_ODD_ITEMS = ["[1]", '{"a": 1}', "[]", '"53"', "1.5", "true", "null", "70000", "-1", "1e400", '"1.2.3.0/24"']
+
+
+@st.composite
+def _mutated_baselines(draw) -> bytes:
+    """The good baseline file with one mutation: a flipped byte, a cut, or one field of one line
+    nested, replaced by an odd number, given an odd list item, or a digit swapped for a non-ASCII one."""
+    data = _GOOD_BASELINE.encode()
+    kind = draw(st.sampled_from(["flip", "cut", "nest", "number", "item", "digit"]))
+    if kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if kind == "cut":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    lines = _GOOD_BASELINE.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "digit":
+        at = draw(st.sampled_from([k for k, char in enumerate(lines[i]) if char.isdigit()]))
+        lines[i] = lines[i][:at] + draw(st.sampled_from("٠١٢٣²߃१１")) + lines[i][at + 1:]
+    else:
+        name = draw(st.sampled_from(["start_ts", "end_ts", "protocols", "prefixes"]))
+        match = re.search(f'"{name}":(\\[[^\\]]*\\]|[^,}}]+)', lines[i])
+        value = match.group(1)
+        if kind == "nest":
+            depth = draw(st.sampled_from([1, 2, 64, 100_000]))
+            value = "[" * depth + value + "]" * depth
+        elif kind == "number":
+            value = draw(st.sampled_from(_ODD_NUMBERS))
+        else:
+            items = value[1:-1] if value.startswith("[") else value
+            value = "[" + ",".join(filter(None, [items, draw(st.sampled_from(_ODD_ITEMS))])) + "]"
+        lines[i] = lines[i][:match.start(1)] + value + lines[i][match.end(1):]
+    return "".join(lines).encode()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_mutated_baselines())
+@example(data=b'{"start_ts":0,"end_ts":1,"protocols":[[1]],"prefixes":["10.0.0.0/24"]}\n')
+@example(data=b'{"start_ts":0,"end_ts":1,"protocols":[{"a":1}],"prefixes":["10.0.0.0/24"]}\n')
+def test_mutated_baseline_exits_0_or_names_the_line(corpus_dir, data):
+    # whatever the damage, overlap succeeds or reports one format error naming the file and line
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "baseline.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("overlap", "--preset", "ccc", "--events", str(corpus_dir / "events.jsonl"),
+                           "--baseline", path, "--out", os.path.join(scratch, "out"))
+    assert code in (0, 2)
+    if code == 2:
+        assert re.fullmatch(f"honeyflow: error: {re.escape(path)}: line [0-9]+: [^\n]+\n", err.getvalue())
 
 
 def test_converge_without_attacks_exit_2(tmp_path, corpus_dir, capsys):

@@ -31,7 +31,7 @@ from honeyflow.detection import (
     Victim,
     detect_attacks,
 )
-from honeyflow.events import int_to_ipv4
+from honeyflow.events import int_to_ipv4, parse_baseline_line, prefix_net_mask, serialize_baseline
 from honeyflow.synth import AttackSpec, ScanSpec, ScenarioSpec, synth
 
 
@@ -194,6 +194,33 @@ def test_upper_bound_is_packet_level_not_a_bound_on_the_detector():
     report = overlap_report(ccc_attacks(events), events, baseline)
     assert report.matched_with_ports == 1
     assert report.upper_with_ports == 0
+
+
+def test_built_records_are_never_parsed_again(monkeypatch):
+    # each prefix is parsed when its record is built; matching and serializing read the stored pairs
+    import honeyflow.completeness
+    import honeyflow.events
+
+    corpus = synth(ScenarioSpec(
+        seed=3, sensors=4, duration_s=900.0, baseline_events=6, baseline_overlap=0.5,
+        attacks=tuple(AttackSpec(victim=f"203.0.113.{i}", start=60.0 * i, stop=60.0 * i + 200.0) for i in range(1, 5)),
+    ))
+    attacks = ccc_attacks(corpus.events)
+    assert attacks and {attack.victim.granularity for attack in attacks} == {GRANULARITY_ADDRESS}
+    calls = []
+
+    def counted(prefix):
+        calls.append(prefix)
+        return prefix_net_mask(prefix)
+
+    monkeypatch.setattr(honeyflow.events, "prefix_net_mask", counted)
+    monkeypatch.setattr(honeyflow.completeness, "prefix_net_mask", counted)
+    report = overlap_report(attacks, corpus.events, corpus.baseline, slack_s=30.0)
+    lines = [serialize_baseline(record) for record in corpus.baseline]
+    assert calls == []
+    assert report.matched_with_ports == corpus.baseline_matched
+    assert [parse_baseline_line(line) for line in lines] == corpus.baseline
+    assert len(calls) == sum(len(record.prefixes) for record in corpus.baseline)
 
 
 def test_empty_baseline_shares_are_zero():

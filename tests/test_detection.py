@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import random
 import tempfile
 import time
+import weakref
 from functools import lru_cache
 from operator import attrgetter
 
@@ -242,6 +244,25 @@ def test_events_share_equal_victims_and_sets():
     assert first.sensors != second.sensors
     assert first.victim is second.victim
     assert first.dst_ports is second.dst_ports
+
+
+def test_sharing_lasts_one_call():
+    # within one result equal sets are one object and each victim one Victim; after it, nothing is kept
+    corpus = synth(ScenarioSpec(seed=5, sensors=6, duration_s=900.0, attacks=tuple(
+        AttackSpec(victim=f"203.0.113.{i % 3}", dst_port=(53, 123)[i % 2], start=100.0 * i, stop=100.0 * i + 80.0,
+                   sensors=(i % 6, (i + 1) % 6))
+        for i in range(8)
+    )))
+    attacks = detect_attacks(corpus.events, PRESETS["ccc"])
+    for field in ("victim", "sensors", "dst_ports"):
+        values = [getattr(attack, field) for attack in attacks]
+        assert len({id(value) for value in values}) == len(set(values)) < len(values), field
+    again = detect_attacks(corpus.events, PRESETS["ccc"])
+    assert again == attacks and again[0].victim is not attacks[0].victim
+    victim = weakref.ref(attacks[0].victim)
+    del attacks, again
+    gc.collect()
+    assert victim() is None
 
 
 def test_events_ordered_and_empty_input():

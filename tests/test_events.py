@@ -61,6 +61,34 @@ def test_ipv6_error_names_the_problem():
         ipv4_to_int("2001:db8::1")
 
 
+_OCTETS = st.one_of(st.integers(0, 300).map(str), st.text("0123456789٠١٢²¹߃०１ +-_x", max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_OCTETS, min_size=3, max_size=5).map(".".join), st.text(max_size=16)))
+def test_ipv4_to_int_agrees_with_ipaddress(text):
+    # accepted iff ipaddress accepts it, with the same value: ASCII digits only, no leading zeros
+    try:
+        expected = int(ipaddress.IPv4Address(text))
+    except ValueError:
+        with pytest.raises(ValueError):
+            ipv4_to_int(text)
+    else:
+        assert ipv4_to_int(text) == expected
+
+
+@pytest.mark.parametrize("text,message", [
+    ("١٠.0.0.1", "not a dotted-quad IPv4 address"),  # Arabic-Indic "10"
+    ("1.2.3.²", "not a dotted-quad IPv4 address"),  # superscript two
+    ("10.0.0.0/٢٤", "malformed prefix length"),  # Arabic-Indic "24"
+    ("١٠.0.0.0/24", "not a dotted-quad IPv4 address"),
+])
+def test_non_ascii_digits_are_rejected(text, message):
+    parse = prefix_net_mask if "/" in text else ipv4_to_int
+    with pytest.raises(ValueError, match=message):
+        parse(text)
+
+
 def test_prefix_normalization():
     assert normalize_prefix("203.0.113.77/24") == "203.0.113.0/24"
     assert normalize_prefix("10.1.2.3/8") == "10.0.0.0/8"
@@ -309,6 +337,25 @@ def test_baseline_round_trip_and_normalization():
     assert record.prefixes == frozenset({"203.0.113.0/24", "198.51.100.0/25"})
     parsed = parse_baseline_line(serialize_baseline(record), 1)
     assert parsed == record
+
+
+def test_baseline_keeps_its_prefixes_as_sorted_pairs():
+    record = BaselineAttack(0.0, 1.0, frozenset({53}),
+                            frozenset({"203.0.113.99/24", "10.0.0.0/8", "203.0.113.0/24", "9.9.9.9/32"}))
+    assert record.nets == tuple(sorted(prefix_net_mask(p) for p in record.prefixes))
+    assert len(record.nets) == 3 and "nets" not in repr(record)
+    # the pairs are derived, so records equal field by field compare and hash equal
+    assert record == BaselineAttack(0.0, 1.0, frozenset({53}), record.prefixes)
+    assert hash(record) == hash(BaselineAttack(0.0, 1.0, frozenset({53}), record.prefixes))
+    assert json.loads(serialize_baseline(record))["prefixes"] == ["9.9.9.9/32", "10.0.0.0/8", "203.0.113.0/24"]
+
+
+def test_load_baseline_orders_time_ties_by_prefix_strings(tmp_path):
+    # in (network, mask) order each record's CIDR strings are compared as strings
+    records = [BaselineAttack(0.0, 1.0, frozenset(), frozenset({prefix})) for prefix in ("9.0.0.0/8", "10.0.0.0/8")]
+    path = tmp_path / "baseline.jsonl"
+    write_baseline(records, str(path))
+    assert [sorted(b.prefixes) for b in load_baseline(str(path))] == [["10.0.0.0/8"], ["9.0.0.0/8"]]
 
 
 def test_baseline_validation_and_errors(tmp_path):
