@@ -42,6 +42,7 @@ from .detection import (
     DetectionPreset,
     detect_attacks,
     detect_carpet_bombing,
+    permissive_thresholds,
     victims,
     write_attack_report,
 )
@@ -121,16 +122,18 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--comparison", choices=[">=", ">"], default=None, help="packet-load comparison")
 
 
+# the flags of the extra conditions; unset, each keeps its AttackThresholds default
+_CONDITIONS = ("min_dst_ports", "min_sensors", "comparison")
+
+
+def _thresholds(args, name: str, idle_timeout: float, min_packets: int) -> AttackThresholds:
+    conditions = {flag: getattr(args, flag) for flag in _CONDITIONS}
+    return AttackThresholds(name, idle_timeout, min_packets, **{k: v for k, v in conditions.items() if v is not None})
+
+
 def _resolve_detector(parser: _Parser, args) -> tuple[DetectionPreset, dict]:
     """Returns (detector, config-echo)."""
-    custom_flags = [
-        args.scheme,
-        args.idle_timeout,
-        args.min_packets,
-        args.min_dst_ports,
-        args.min_sensors,
-        args.comparison,
-    ]
+    custom_flags = [args.scheme, args.idle_timeout, args.min_packets] + [getattr(args, flag) for flag in _CONDITIONS]
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
             parser.error("--preset cannot be combined with custom scheme/threshold flags")
@@ -143,21 +146,10 @@ def _resolve_detector(parser: _Parser, args) -> tuple[DetectionPreset, dict]:
             parser.error("either --preset or all of --scheme/--idle-timeout/--min-packets are required")
         scheme = PRESETS[args.scheme].scheme
         name = f"custom:{args.scheme}"
-        thresholds = AttackThresholds(
-            name=name,
-            idle_timeout=args.idle_timeout,
-            min_packets=args.min_packets,
-            min_dst_ports=args.min_dst_ports if args.min_dst_ports is not None else 1,
-            min_sensors=args.min_sensors if args.min_sensors is not None else 1,
-            comparison=args.comparison if args.comparison is not None else ">=",
-        )
+        thresholds = _thresholds(args, name, args.idle_timeout, args.min_packets)
     if getattr(args, "permissive", False):
-        thresholds = AttackThresholds(
-            name=f"{name}:permissive",
-            idle_timeout=thresholds.idle_timeout,
-            min_packets=1,
-        )
-        name = thresholds.name
+        name = f"{name}:permissive"
+        thresholds = replace(permissive_thresholds(thresholds.idle_timeout), name=name)
     config = {
         "detector": name,
         "scheme": asdict(scheme),
@@ -241,14 +233,7 @@ def _cmd_sweep(parser: _Parser, args) -> int:
     out = _resolve_out(args)
     events = _read(load_trace, args.events)
     scheme = PRESETS[args.scheme].scheme
-    base = AttackThresholds(
-        name="sweep",
-        idle_timeout=1.0,
-        min_packets=1,
-        min_dst_ports=args.min_dst_ports if args.min_dst_ports is not None else 1,
-        min_sensors=args.min_sensors if args.min_sensors is not None else 1,
-        comparison=args.comparison if args.comparison is not None else ">=",
-    )
+    base = _thresholds(args, "sweep", 1.0, 1)
     grid = sweep(events, scheme, args.timeouts, args.loads, base)
     write_heatmap_csv(grid, os.path.join(out, "sweep.csv"))
     config = {

@@ -464,9 +464,9 @@ def detect_attacks(
 ) -> list[AttackEvent]:
     """Assemble with the preset's scheme and detect with its thresholds.
 
-    Equal to :func:`detect` on :func:`honeyflow.flows.assemble`, errors
-    included, but the trace is keyed once and only the flows of attacking
-    clusters are built.
+    Equal to :func:`detect` on :func:`honeyflow.flows.assemble`, errors and
+    flows' ``packets.rows`` (positions in ``events``) included, but the trace
+    is keyed once and only the flows of attacking clusters are built.
     """
     clusters = _attack_clusters(as_trace(events), preset)
     if clusters is None:

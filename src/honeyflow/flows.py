@@ -267,8 +267,8 @@ def assemble(
     packets keep arriving. All flows still open at end of stream are closed
     and emitted.
 
-    Every event lands in exactly one flow, so the result is a partition of
-    the input. Flows come back sorted by (first_ts, key).
+    Every event lands in exactly one flow, so the flows' ``packets.rows``
+    partition the positions of ``events``. Flows come back sorted by (first_ts, key).
 
     The stream is keyed and sorted by (key, ts) once; flows are the runs of
     that order split at key changes and at gaps over the timeout.

@@ -18,6 +18,7 @@ complete, reproducible description of its corpus.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -27,6 +28,7 @@ from .events import (
     BaselineAttack,
     PacketEvent,
     ScannerList,
+    _is_finite,
     int_to_ipv4,
     ipv4_to_int,
     normalize_prefix,
@@ -57,6 +59,7 @@ LABEL_NOISE = "noise"
 
 _NOISE_NET, _NOISE_MASK = prefix_net_mask("240.0.0.0/4")
 _UNMATCHED_NET, _UNMATCHED_MASK = prefix_net_mask("198.18.0.0/15")
+_MAX_COUNT = 10**7  # the most packets, and baseline records, a scenario may ask for; converge's cap too
 
 
 class SynthesisError(ValueError):
@@ -163,8 +166,10 @@ class ScenarioSpec:
             raise ValueError(f"duration_s must be positive: {self.duration_s}")
         if self.noise_packets < 0:
             raise ValueError(f"noise_packets must be >= 0: {self.noise_packets}")
-        if self.baseline_events < 0:
-            raise ValueError(f"baseline_events must be >= 0: {self.baseline_events}")
+        if not self.noise_ports:
+            raise ValueError("noise_ports must be non-empty")
+        if not 0 <= self.baseline_events <= _MAX_COUNT:
+            raise ValueError(f"baseline_events must be in 0..{_MAX_COUNT}: {self.baseline_events}")
         if not 0.0 <= self.baseline_overlap <= 1.0:
             raise ValueError(f"baseline_overlap must be in [0, 1]: {self.baseline_overlap}")
         if self.baseline_slack_s < 0:
@@ -219,8 +224,20 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
     Raises :class:`SynthesisError` on cross-field contradictions: windows
     past the scenario duration, zero-packet attacks, sensor indices off the
     platform, more matched baseline records than distinct planted victims,
-    or planted addresses inside reserved pools.
+    or planted addresses inside reserved pools; and, before drawing, on more
+    than 10**7 packets or an unbounded number.
     """
+    try:  # an infinite rate or window overflows
+        planted = (
+            spec.noise_packets
+            + sum(a.packets_per_sensor * (len(a.sensors) or spec.sensors) for a in spec.attacks)
+            + sum((len(s.sensors) or spec.sensors) * len(s.ports) * s.packets_per_sensor_port for s in spec.scans)
+            + sum(c.n_flows * c.packets_per_flow for c in spec.carpets)
+        )
+    except OverflowError:
+        planted = math.inf
+    if planted > _MAX_COUNT:
+        raise SynthesisError(f"scenario plants more than {_MAX_COUNT} packets")
     rng = random.Random(spec.seed)
     sensor_ids = tuple(f"s{i:02d}" for i in range(1, spec.sensors + 1))
     sensor_addrs = tuple(f"192.0.2.{i}" for i in range(1, spec.sensors + 1))
@@ -492,6 +509,8 @@ def _build(cls, data, what: str):
             takes, kind = _JSON_TYPES[f.type]
             if not takes(kwargs[f.name]):
                 raise SynthesisError(f"{what}: {f.name} must be {kind}")
+            if f.type == "float" and type(kwargs[f.name]) is int and not _is_finite(kwargs[f.name]):
+                raise SynthesisError(f"{what}: {f.name} is beyond the float range")
             if type(kwargs[f.name]) is list:
                 kwargs[f.name] = tuple(kwargs[f.name])
     try:

@@ -3,8 +3,8 @@
 A :class:`Trace` is the one representation of a trace in honeyflow: every
 function that takes events turns them into one (:func:`as_trace`), and
 :func:`honeyflow.events.load_trace` returns one. Flow keying, detection,
-sweeps and coverage accounting read its columns; a :class:`PacketEvent` is
-built only when a caller reads one.
+sweeps and coverage accounting read its columns, all a trace holds; a
+:class:`PacketEvent` is built only when a caller reads one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class _Columns(NamedTuple):
     sensors: list[str]
     addresses: list[str]
     address_values: np.ndarray
-    events: list[PacketEvent] | None  # the objects the columns were taken from, if any
 
 
 def _column(name: str, doc: str) -> property:
@@ -67,10 +66,10 @@ class Trace(Sequence):
 
     A trace is a sequence of :class:`PacketEvent` that builds an event only
     when it is read, by indexing or iterating, and it equals any sequence of
-    equal events. A trace made from event objects keeps them, and reading it
-    returns those same objects. :meth:`take` and slicing select rows of a
-    trace without copying a column until it is read; the flows of
-    :mod:`honeyflow.flows` hold such selections.
+    equal events. :meth:`take` and slicing select rows of a trace without
+    copying a column until it is read; the flows of :mod:`honeyflow.flows`
+    hold such selections, and their :attr:`rows` are the positions of their
+    packets in the trace they were cut from.
     """
 
     __slots__ = ("_columns", "_rows")
@@ -81,7 +80,7 @@ class Trace(Sequence):
 
     @classmethod
     def from_events(cls, events: Iterable[PacketEvent]) -> "Trace":
-        """The trace of ``events`` in their given order, keeping the objects."""
+        """The trace of ``events`` in their given order: row ``i`` is ``events[i]``."""
         events = list(events)
         n = len(events)
         sensors, (sensor,) = _string_codes(list(map(attrgetter("sensor"), events)))
@@ -98,7 +97,6 @@ class Trace(Sequence):
             sensors,
             addresses,
             np.fromiter(map(ipv4_to_int, addresses), np.uint32, len(addresses)),
-            events,
         ))
 
     @classmethod
@@ -132,7 +130,7 @@ class Trace(Sequence):
 
     @property
     def rows(self) -> np.ndarray:
-        """The positions of these events in the underlying trace."""
+        """The positions of these events in the underlying trace: for a trace of a list, in that list."""
         return np.arange(len(self._columns.ts)) if self._rows is None else self._rows
 
     def take(self, rows: np.ndarray) -> "Trace":
@@ -149,17 +147,13 @@ class Trace(Sequence):
         if self._rows is not None:
             row = int(self._rows[row])
         c = self._columns
-        if c.events is not None:
-            return c.events[row]
         return _event(
             float(c.ts[row]), c.sensors[c.sensor[row]], c.addresses[c.src[row]], int(c.src_port[row]),
             c.addresses[c.dst[row]], int(c.dst_port[row]),
         )
 
     def __iter__(self) -> Iterator[PacketEvent]:
-        c, rows = self._columns, self._rows
-        if c.events is not None:
-            return iter(c.events) if rows is None else map(c.events.__getitem__, rows.tolist())
+        c = self._columns
         address = c.addresses.__getitem__
         return map(
             _event, self.ts.tolist(), map(c.sensors.__getitem__, self.sensor.tolist()), map(address, self.src.tolist()),
@@ -301,4 +295,4 @@ def _read_trace(path: str, check_address: Callable[[str], int]) -> Trace | None:
     del column
     address_values = np.empty(len(addresses), np.uint32)
     address_values[address_rank] = values
-    return Trace(_Columns(*columns, sensors, addresses, address_values, None))
+    return Trace(_Columns(*columns, sensors, addresses, address_values))

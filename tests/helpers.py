@@ -399,10 +399,9 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def flows_to_index_partition(flows, events: list[PacketEvent]) -> set[tuple[int, ...]]:
-    """Engine output as index tuples, via object identity (duplicates stay apart)."""
-    position = {id(event): index for index, event in enumerate(events)}
-    return {tuple(position[id(p)] for p in flow.packets) for flow in flows}
+def flows_to_index_partition(flows) -> set[tuple[int, ...]]:
+    """Engine output as index tuples: each flow's packet positions in its input (duplicates stay apart)."""
+    return {tuple(flow.packets.rows.tolist()) for flow in flows}
 
 
 # -- exhaustive permutation-ensemble oracles ---------------------------------

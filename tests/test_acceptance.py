@@ -89,9 +89,7 @@ def test_c02_flow_assembly_matches_oracle():
         for scheme in distinct:
             grouped = oracle_group_indices(events, scheme)
             for timeout in timeouts:
-                engine = flows_to_index_partition(
-                    assemble(events, scheme, timeout), events
-                )
+                engine = flows_to_index_partition(assemble(events, scheme, timeout))
                 assert engine == oracle_split_gaps(events, grouped, timeout)
                 checked += 1
     elapsed = time.monotonic() - started

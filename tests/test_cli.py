@@ -543,6 +543,11 @@ def test_bad_field_exit_2(tmp_path, corpus_dir, capsys, flag, line, message):
     ({"carpets": [{"prefix": None}]}, "carpet spec: prefix must be a string"),
     ({"scans": [{"source": "1.2.3.4", "start": "x"}]}, "scan spec: start must be a number"),
     ({"noise_packets": 1.5}, "scenario spec: noise_packets must be an integer"),
+    ({"noise_packets": 10**12}, "scenario plants more than 10000000 packets"),
+    ({"attacks": [{"victim": "1.2.3.4", "rate_pps": float("inf")}]}, "scenario plants more than 10000000 packets"),
+    ({"attacks": [{"victim": "1.2.3.4", "start": float("-inf")}]}, "scenario plants more than 10000000 packets"),
+    ({"duration_s": 10**400}, "scenario spec: duration_s is beyond the float range"),
+    ({"noise_ports": []}, "scenario spec: noise_ports must be non-empty"),
 ])
 def test_synth_bad_field_type_exit_2(tmp_path, capsys, data, message):
     spec = tmp_path / "spec.json"
@@ -610,6 +615,54 @@ def test_mutated_baseline_exits_0_or_names_the_line(corpus_dir, data):
     assert code in (0, 2)
     if code == 2:
         assert re.fullmatch(f"honeyflow: error: {re.escape(path)}: line [0-9]+: [^\n]+\n", err.getvalue())
+
+
+_GOOD_SPEC = {
+    "seed": 3, "sensors": 4, "duration_s": 600.0, "noise_packets": 20, "noise_ports": [53, 123],
+    "baseline_events": 4, "baseline_overlap": 0.5, "baseline_slack_s": 30.0,
+    "attacks": [{"victim": "198.51.100.9", "dst_port": 123, "start": 10.0, "stop": 40.0, "rate_pps": 0.5,
+                 "sensors": [0, 1], "src_port": 4444}],
+    "scans": [{"source": "100.64.0.7", "ports": [53, 123], "packets_per_sensor_port": 1, "start": 5.0,
+               "spacing_s": 2.0, "sensors": [2]}],
+    "carpets": [{"prefix": "203.0.113.0/24", "n_victims": 2, "n_flows": 4, "dst_port": 19, "packets_per_flow": 3,
+                 "rate_pps": 1.0, "start": 100.0, "flow_spacing_s": 5.0, "sensors": [3]}],
+}
+_SPEC_ODD_NUMBERS = ["1e400", "-1e400", "1e12", "1" + "0" * 30, "1" + "0" * 400, "-1", "0"]
+_WRONG_TYPES = ['"x"', "null", "true", "{}", "[]"]
+
+
+@st.composite
+def _mutated_specs(draw) -> str:
+    """The good spec with one field, of the scenario or of its attack, scan or carpet, nested,
+    given a value of the wrong JSON type, or replaced by an odd number."""
+    spec = json.loads(json.dumps(_GOOD_SPEC))
+    part = draw(st.sampled_from([None, "attacks", "scans", "carpets"]))
+    fields = spec if part is None else spec[part][0]
+    name = draw(st.sampled_from(sorted(fields)))
+    kind = draw(st.sampled_from(["nest", "type", "number"]))
+    if kind == "nest":
+        depth = draw(st.sampled_from([1, 2, 100_000]))
+        value = "[" * depth + json.dumps(fields[name]) + "]" * depth
+    else:
+        value = draw(st.sampled_from(_WRONG_TYPES if kind == "type" else _SPEC_ODD_NUMBERS))
+    fields[name] = "<mutated>"
+    return json.dumps(spec).replace('"<mutated>"', value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_mutated_specs())
+@example(data=json.dumps(_GOOD_SPEC))
+def test_mutated_spec_exits_0_or_2_with_one_error_line(data):
+    # whatever the damage, synth succeeds or reports one error; any other exception fails the test
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("synth", "--spec", path, "--out", os.path.join(scratch, "out"))
+    assert code == 0 if data == json.dumps(_GOOD_SPEC) else code in (0, 2)
+    assert re.fullmatch("" if code == 0 else "honeyflow: error: [^\n]+\n", err.getvalue())
 
 
 def test_converge_without_attacks_exit_2(tmp_path, corpus_dir, capsys):

@@ -160,7 +160,7 @@ def test_partition_matches_brute_force_oracle():
         events = make_random_trace(rng, 400, n_sensors=3, n_sources=12, duration=5000.0)
         for scheme in oracle_schemes():
             for timeout in (60.0, 600.0, 3600.0):
-                engine = flows_to_index_partition(assemble(events, scheme, timeout), events)
+                engine = flows_to_index_partition(assemble(events, scheme, timeout))
                 assert engine == oracle_partition(events, scheme, timeout)
 
 
@@ -169,7 +169,7 @@ def test_partition_covers_every_event_exactly_once():
     events = make_random_trace(rng, 1500)
     for scheme in oracle_schemes():
         flows = assemble(events, scheme, 120.0)
-        indices = sorted(i for f in flows for i in flows_to_index_partition([f], events).pop())
+        indices = sorted(i for f in flows for i in f.packets.rows.tolist())
         assert indices == list(range(len(events)))
 
 
@@ -222,4 +222,4 @@ def test_assemble_equals_stream_order_oracle(events, scheme, timeout):
     assert engine == oracle
     if isinstance(engine, list):
         # equal flows could still hold equal-valued duplicates out of stream order
-        assert [[id(p) for p in f.packets] for f in engine] == [[id(p) for p in f.packets] for f in oracle]
+        assert flows_to_index_partition(engine) == oracle_partition(events, scheme, timeout)

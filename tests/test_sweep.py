@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_random_trace, oracle_assemble, oracle_detect, oracle_sweep, outcome
+from helpers import (
+    key_function,
+    make_random_trace,
+    oracle_assemble,
+    oracle_detect,
+    oracle_partition,
+    oracle_sweep,
+    outcome,
+)
 from honeyflow import PacketEvent
 from honeyflow.detection import PRESETS, AttackThresholds, DetectionPreset, detect, detect_attacks, victims
 from honeyflow.flows import PER_PLATFORM, PER_SENSOR, FlowScheme, assemble
 from honeyflow.sweep import HeatmapGrid, sweep, write_heatmap_csv
+from honeyflow.trace import Trace
 
 TIMEOUTS = [60.0, 300.0, 900.0, 3600.0]
 LOADS = [1, 3, 5, 20, 100]
@@ -177,11 +186,22 @@ _DETECT_THRESHOLDS = {
 }
 
 
-def _packet_ids(result):
-    """Packet identities per event, or the error ``outcome`` returned."""
+def _packet_rows(result, events, scheme, timeout):
+    """Per event, the positions of its packets in ``events``, or the error ``outcome`` returned.
+
+    An assembled flow's positions are its ``packets.rows``. An oracle flow's
+    are its index tuple in ``oracle_partition``, found by (key, first_ts),
+    which no two flows of one assembly share.
+    """
     if isinstance(result, tuple):
         return result
-    return [[id(p) for f in e.flows for p in f.packets] for e in result]
+    key_of = key_function(scheme)
+    oracle_rows = {(key_of(events[t[0]]), events[t[0]].ts): t for t in oracle_partition(events, scheme, timeout)}
+
+    def rows(flow):
+        return flow.packets.rows.tolist() if isinstance(flow.packets, Trace) else oracle_rows[flow.key, flow.first_ts]
+
+    return [[i for f in e.flows for i in rows(f)] for e in result]
 
 
 @settings(max_examples=400, deadline=None)
@@ -193,7 +213,7 @@ def test_detect_equals_oracle(events, case, timeout, load):
     got = outcome(detect, flows, thresholds)
     expected = outcome(oracle_detect, flows, thresholds)
     assert got == expected
-    assert _packet_ids(got) == _packet_ids(expected)
+    assert _packet_rows(got, events, scheme, timeout) == _packet_rows(expected, events, scheme, timeout)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +227,7 @@ def test_detect_does_not_depend_on_the_order_of_its_flows(events, seed, case, ti
     got = outcome(detect, random.Random(seed).sample(flows, len(flows)), thresholds)
     expected = outcome(oracle_detect, flows, thresholds)
     assert got == expected
-    assert _packet_ids(got) == _packet_ids(expected)
+    assert _packet_rows(got, events, scheme, timeout) == _packet_rows(expected, events, scheme, timeout)
 
 
 @settings(max_examples=400, deadline=None)
@@ -220,7 +240,7 @@ def test_detect_attacks_equals_oracle(events, unsorted, case, timeout, load):
     got = outcome(detect_attacks, events, DetectionPreset(case, scheme, thresholds))
     expected = outcome(lambda: oracle_detect(oracle_assemble(events, scheme, timeout), thresholds))
     assert got == expected
-    assert _packet_ids(got) == _packet_ids(expected)
+    assert _packet_rows(got, events, scheme, timeout) == _packet_rows(expected, events, scheme, timeout)
 
 
 @pytest.mark.parametrize(

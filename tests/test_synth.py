@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 
@@ -17,6 +18,8 @@ from honeyflow.synth import (
     synth_sensor_victim_map,
     write_corpus,
 )
+
+synth_module = importlib.import_module("honeyflow.synth")  # the package's ``synth`` is the function
 
 FULL_SPEC = ScenarioSpec(
     seed=42,
@@ -191,11 +194,31 @@ def test_baseline_unmatched_only():
         (dict(duration_s=50.0, carpets=(CarpetSpec(),)), "past the scenario duration"),
         (dict(baseline_events=4, baseline_overlap=1.0), "planted victims"),
         (dict(baseline_events=600, baseline_overlap=0.0), "512"),
+        # refused before anything is drawn, so these return at once
+        (dict(noise_packets=10**12), "more than 10000000 packets"),
+        (dict(duration_s=10.0, attacks=(AttackSpec(victim="203.0.113.1", stop=10.0, rate_pps=1e12),)),
+         "more than 10000000 packets"),
+        (dict(attacks=(AttackSpec(victim="203.0.113.1", rate_pps=float("inf")),)), "more than 10000000 packets"),
+        (dict(attacks=(AttackSpec(victim="203.0.113.1", start=float("-inf")),)), "more than 10000000 packets"),
+        (dict(attacks=(AttackSpec(victim="203.0.113.1", rate_pps=10**400),)), "more than 10000000 packets"),
+        (dict(scans=(ScanSpec(source="203.0.113.200", packets_per_sensor_port=10**30),)),
+         "more than 10000000 packets"),
+        (dict(carpets=(CarpetSpec(n_flows=10**6, packets_per_flow=11),)), "more than 10000000 packets"),
     ],
 )
 def test_contradictions_raise(spec_kwargs, fragment):
     with pytest.raises(SynthesisError, match=fragment):
         synth(ScenarioSpec(seed=0, **spec_kwargs))
+
+
+def test_packet_cap_admits_exactly_the_planted_count(monkeypatch):
+    # attacks on all and on listed sensors, a scan, a carpet and noise, counted as synth plants them
+    n = len(synth(FULL_SPEC).events)
+    monkeypatch.setattr(synth_module, "_MAX_COUNT", n)
+    assert len(synth(FULL_SPEC).events) == n
+    monkeypatch.setattr(synth_module, "_MAX_COUNT", n - 1)
+    with pytest.raises(SynthesisError, match="more than"):
+        synth(FULL_SPEC)
 
 
 def test_spec_field_validation():
@@ -209,6 +232,8 @@ def test_spec_field_validation():
         ScenarioSpec(sensors=0)
     with pytest.raises(ValueError):
         ScenarioSpec(baseline_overlap=1.5)
+    with pytest.raises(ValueError, match="baseline_events must be in 0..10000000"):
+        ScenarioSpec(baseline_events=10**7 + 1)
 
 
 def test_spec_dict_round_trip():
