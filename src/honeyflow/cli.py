@@ -324,11 +324,11 @@ def _cmd_evade(parser: _Parser, args) -> int:
 
 def _cmd_synth(parser: _Parser, args) -> int:
     out = _resolve_out(args)
-    with open(args.spec, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(args.spec, encoding="utf-8") as handle:
             data = json.load(handle)
-        except RecursionError as exc:
-            raise FormatError(f"{args.spec}: malformed scenario spec: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise FormatError(f"{args.spec}: malformed scenario spec: {exc}") from exc
     spec = spec_from_dict(data)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

@@ -486,6 +486,8 @@ class ProtocolProfile:
         count = self.amplifier_count
         if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
             raise ValueError(f"amplifier_count must be a positive integer: {count}")
+        if not _is_finite(count):  # requests per amplifier divide a float by it
+            raise ValueError("amplifier_count is beyond the float range")
 
 
 _PROFILE_KEYS = ("name", "dst_port", "request_size", "amplification_factor", "amplifier_count")

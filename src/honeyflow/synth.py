@@ -34,11 +34,11 @@ from .events import (
     normalize_prefix,
     open_artifact,
     prefix_net_mask,
-    trace_sort_key,
     write_baseline,
     write_scanner_list,
     write_trace,
 )
+from .trace import _CHUNK_LINES, Trace, _Rows
 
 __all__ = [
     "SynthesisError",
@@ -172,15 +172,15 @@ class ScenarioSpec:
             raise ValueError(f"baseline_events must be in 0..{_MAX_COUNT}: {self.baseline_events}")
         if not 0.0 <= self.baseline_overlap <= 1.0:
             raise ValueError(f"baseline_overlap must be in [0, 1]: {self.baseline_overlap}")
-        if self.baseline_slack_s < 0:
-            raise ValueError(f"baseline_slack_s must be >= 0: {self.baseline_slack_s}")
+        if not 0 <= self.baseline_slack_s < math.inf:
+            raise ValueError(f"baseline_slack_s must be finite and >= 0: {self.baseline_slack_s}")
 
 
 @dataclass
 class LabeledCorpus:
     """Synthesized trace plus everything needed to score a detector on it."""
 
-    events: list[PacketEvent]
+    events: Trace
     labels: list[str]
     sensor_ids: tuple[str, ...]
     victims: set[str]
@@ -242,7 +242,9 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
     sensor_ids = tuple(f"s{i:02d}" for i in range(1, spec.sensors + 1))
     sensor_addrs = tuple(f"192.0.2.{i}" for i in range(1, spec.sensors + 1))
 
-    tagged: list[tuple[PacketEvent, str]] = []
+    rows = _Rows(ipv4_to_int)  # checked, coded and sorted as the trace reader does it
+    chunk: list[tuple] = []
+    labels: list[str] = []
     victims: set[str] = set()
     sensor_victims: dict[str, set[str]] = {sid: set() for sid in sensor_ids}
     carpet_prefixes: set[str] = set()
@@ -250,24 +252,28 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
     # victim -> (first_ts, last_ts, ports) over planted traffic, for baseline windows
     windows: dict[str, list] = {}
 
+    def add_chunk() -> None:
+        if not rows.add(*zip(*chunk)):
+            for row, label in zip(chunk, labels[-len(chunk):]):  # only to name the first bad row
+                try:
+                    PacketEvent(*row)
+                except ValueError as exc:
+                    raise SynthesisError(f"{label}: {exc}") from exc
+            raise AssertionError("the column checks rejected planted rows that PacketEvent accepts")
+        chunk.clear()
+
     def plant(ts: float, sensor_idx: int, src: str, sport: int, dport: int, label: str) -> None:
-        tagged.append(
-            (
-                PacketEvent(ts, sensor_ids[sensor_idx], src, sport, sensor_addrs[sensor_idx], dport),
-                label,
-            )
-        )
+        chunk.append((float(ts), sensor_ids[sensor_idx], src, sport, sensor_addrs[sensor_idx], dport))
+        labels.append(label)
+        if len(chunk) == _CHUNK_LINES:
+            add_chunk()
 
     def note_victim(victim: str, sensor_idx: int, ts: float, port: int) -> None:
         victims.add(victim)
         sensor_victims[sensor_ids[sensor_idx]].add(victim)
-        window = windows.get(victim)
-        if window is None:
-            windows[victim] = [ts, ts, {port}]
-        else:
-            window[0] = min(window[0], ts)
-            window[1] = max(window[1], ts)
-            window[2].add(port)
+        window = windows.setdefault(victim, [ts, ts, set()])
+        window[0], window[1] = min(window[0], ts), max(window[1], ts)
+        window[2].add(port)
 
     for i, attack in enumerate(spec.attacks, 1):
         label = f"attack-{i}"
@@ -335,6 +341,9 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
         idx = rng.randrange(spec.sensors)
         port = rng.choice(spec.noise_ports)
         plant(ts, idx, src, rng.randint(1024, 65535), port, LABEL_NOISE)
+    if chunk:
+        add_chunk()
+    events, order = rows.sort()
 
     baseline: list[BaselineAttack] = []
     baseline_matched = 0
@@ -374,10 +383,9 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
         baseline_matched = n_match
         expected_overlap = n_match / spec.baseline_events
 
-    tagged.sort(key=lambda pair: trace_sort_key(pair[0]))
     return LabeledCorpus(
-        events=[pair[0] for pair in tagged],
-        labels=[pair[1] for pair in tagged],
+        events=events,
+        labels=list(map(labels.__getitem__, order.tolist())),
         sensor_ids=sensor_ids,
         victims=victims,
         sensor_victims=sensor_victims,

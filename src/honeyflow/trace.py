@@ -185,24 +185,14 @@ _CHUNK_LINES = 1024
 _EVENT_FIELDS = itemgetter(*_EVENT_KEYS)
 
 
-def _chunk_columns(
-    lines: list[str],
-    sensor_ids: dict[str, int],
-    address_ids: dict[str, int],
-    values: list[int],
-    check_address: Callable[[str], int],
-) -> tuple[np.ndarray, ...] | None:
-    """One chunk of event lines as columns, or None if any line is not a good event on its own.
+def _decode(lines: list[str]) -> tuple[tuple, ...] | None:
+    """One chunk of event lines as six columns of values, or None if a line is no event-shaped object.
 
     Each line is wrapped in its own array and the chunk decoded by one
     ``json.loads``: the decoded rows number the lines exactly when each
     line holds one JSON value, since a separator holds a raw newline no
     string may span, and an object spread over lines would take separator
-    brackets into a value no good event has. Fields are checked column by
-    column, to the letter of :func:`honeyflow.events.parse_event_line`.
-    Sensors and addresses are coded by first-seen ids in ``sensor_ids`` and
-    ``address_ids``; each new address goes through ``check_address`` once,
-    in first-seen order, and its value is appended to ``values``.
+    brackets into a value no good event has.
     """
     try:
         rows = json.loads("[[" + "],\n[".join(lines) + "]]")
@@ -211,41 +201,77 @@ def _chunk_columns(
         records = [record for (record,) in rows]
         if set(map(type, records)) != {dict} or set(map(len, records)) != {len(_EVENT_KEYS)}:
             return None
-        ts, sensor, src_ip, src_port, dst_ip, dst_port = zip(*map(_EVENT_FIELDS, records))
+        return tuple(zip(*map(_EVENT_FIELDS, records)))
     except (ValueError, TypeError, KeyError, RecursionError):
         return None
-    if (
-        not set(map(type, ts)) <= {float, int}
-        or set(map(type, sensor)) != {str}
-        or "" in sensor
-        or set(map(type, src_ip)) | set(map(type, dst_ip)) != {str}
-        or set(map(type, src_port)) | set(map(type, dst_port)) != {int}
-    ):
-        return None
-    try:
-        ts = np.array(ts, np.float64)
-        ports = np.array((src_port, dst_port), np.int64)
-    except OverflowError:  # an int beyond the float or int64 range
-        return None
-    if not (np.isfinite(ts) & (ts >= 0)).all() or not ((ports >= 0) & (ports <= 65535)).all():
-        return None
-    for name in set(sensor).difference(sensor_ids):
-        sensor_ids[name] = len(sensor_ids)
-    for address in [a for a in dict.fromkeys(chain.from_iterable(zip(src_ip, dst_ip))) if a not in address_ids]:
+
+
+class _Rows:
+    """Rows of event values, checked a chunk at a time column by column, to the letter of
+    :func:`honeyflow.events.parse_event_line`, then sorted into one :class:`Trace`. Sensors and
+    addresses are coded by first-seen ids; each new address goes through ``check_address`` once.
+    """
+
+    def __init__(self, check_address: Callable[[str], int]) -> None:
+        self.check_address = check_address
+        self.sensor_ids: dict[str, int] = {}
+        self.address_ids: dict[str, int] = {}
+        self.values: list[int] = []
+        self.chunks: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, ts, sensor, src_ip, src_port, dst_ip, dst_port) -> bool:
+        """Add one chunk's columns, or return False if any row is not a good event on its own."""
+        if (
+            not set(map(type, ts)) <= {float, int}
+            or set(map(type, sensor)) != {str}
+            or "" in sensor
+            or set(map(type, src_ip)) | set(map(type, dst_ip)) != {str}
+            or set(map(type, src_port)) | set(map(type, dst_port)) != {int}
+        ):
+            return False
         try:
-            values.append(check_address(address))
-        except ValueError:
-            return None
-        address_ids[address] = len(address_ids)
-    n = len(lines)
-    return (
-        ts,
-        np.fromiter(map(sensor_ids.__getitem__, sensor), np.int32, n),
-        np.fromiter(map(address_ids.__getitem__, src_ip), np.int32, n),
-        ports[0].astype(np.int32),
-        np.fromiter(map(address_ids.__getitem__, dst_ip), np.int32, n),
-        ports[1].astype(np.int32),
-    )
+            ts = np.array(ts, np.float64)
+            ports = np.array((src_port, dst_port), np.int64)
+        except OverflowError:  # an int beyond the float or int64 range
+            return False
+        if not (np.isfinite(ts) & (ts >= 0)).all() or not ((ports >= 0) & (ports <= 65535)).all():
+            return False
+        sensor_ids, address_ids = self.sensor_ids, self.address_ids
+        for name in set(sensor).difference(sensor_ids):
+            sensor_ids[name] = len(sensor_ids)
+        for address in [a for a in dict.fromkeys(chain.from_iterable(zip(src_ip, dst_ip))) if a not in address_ids]:
+            try:
+                self.values.append(self.check_address(address))
+            except ValueError:
+                return False
+            address_ids[address] = len(address_ids)
+        self.chunks.append((
+            ts,
+            np.fromiter(map(sensor_ids.__getitem__, sensor), np.int32, len(ts)),
+            np.fromiter(map(address_ids.__getitem__, src_ip), np.int32, len(ts)),
+            ports[0].astype(np.int32),
+            np.fromiter(map(address_ids.__getitem__, dst_ip), np.int32, len(ts)),
+            ports[1].astype(np.int32),
+        ))
+        return True
+
+    def sort(self) -> tuple[Trace, np.ndarray]:
+        """The rows added in canonical order by one stable ``np.lexsort``, and the row each came from."""
+        if not self.chunks:
+            return Trace.from_events([]), np.empty(0, np.intp)
+        ts, sensor, src, src_port, dst, dst_port = (np.concatenate(column) for column in zip(*self.chunks))
+        self.chunks = []
+        sensors, sensor_rank = _ranked(self.sensor_ids)
+        addresses, address_rank = _ranked(self.address_ids)
+        sensor, src, dst = sensor_rank[sensor], address_rank[src], address_rank[dst]
+        order = np.lexsort((dst_port, src_port, src, sensor, ts))
+        columns = [ts, sensor, src, src_port, dst, dst_port]
+        del ts, sensor, src, src_port, dst, dst_port
+        for i, column in enumerate(columns):  # each unsorted column is freed before the next is copied
+            columns[i] = column[order]
+        address_values = np.empty(len(addresses), np.uint32)
+        address_values[address_rank] = self.values
+        return Trace(_Columns(*columns, sensors, addresses, address_values)), order
 
 
 def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
@@ -263,36 +289,15 @@ def _read_trace(path: str, check_address: Callable[[str], int]) -> Trace | None:
 
     ``check_address`` parses an address to its value and raises ValueError
     for a bad one. The file is split into lines and stripped as the
-    per-line parser does it, then read in chunks, one ``json.loads`` per
-    chunk; one stable ``np.lexsort`` puts the columns in canonical order.
+    per-line parser does it, then read in chunks, one ``json.loads`` each.
     """
-    sensor_ids: dict[str, int] = {}
-    address_ids: dict[str, int] = {}
-    values: list[int] = []
-    chunks = []
+    rows = _Rows(check_address)
     try:
         with open(path, encoding="utf-8") as handle:
             lines = filter(None, map(str.strip, handle))
             while chunk := list(islice(lines, _CHUNK_LINES)):
-                columns = _chunk_columns(chunk, sensor_ids, address_ids, values, check_address)
-                if columns is None:
+                if (columns := _decode(chunk)) is None or not rows.add(*columns):
                     return None
-                chunks.append(columns)
     except UnicodeDecodeError:  # the per-line parser meets it, or an earlier bad line, first
         return None
-    if not chunks:
-        return Trace.from_events([])
-    ts, sensor, src, src_port, dst, dst_port = (np.concatenate(column) for column in zip(*chunks))
-    del chunks
-    sensors, sensor_rank = _ranked(sensor_ids)
-    addresses, address_rank = _ranked(address_ids)
-    sensor, src, dst = sensor_rank[sensor], address_rank[src], address_rank[dst]
-    order = np.lexsort((dst_port, src_port, src, sensor, ts))
-    columns = [ts, sensor, src, src_port, dst, dst_port]
-    del ts, sensor, src, src_port, dst, dst_port
-    for i, column in enumerate(columns):  # each unsorted column is freed before the next is copied
-        columns[i] = column[order]
-    del column
-    address_values = np.empty(len(addresses), np.uint32)
-    address_values[address_rank] = values
-    return Trace(_Columns(*columns, sensors, addresses, address_values))
+    return rows.sort()[0]

@@ -500,6 +500,12 @@ def _oracle_covered(probe, nets) -> bool:
     return False
 
 
+def _oracle_victim_probe(victim) -> tuple[int, int]:
+    """(value, mask) of a victim via ipaddress: an address is its own /32."""
+    network = ipaddress.ip_network(victim.identity, strict=False)
+    return int(network.network_address), int(network.netmask)
+
+
 def _oracle_compile(baseline):
     from honeyflow.events import prefix_net_mask
 
@@ -507,7 +513,7 @@ def _oracle_compile(baseline):
 
 
 def oracle_match_baseline(attacks, baseline, *, slack_s: float = 0.0):
-    from honeyflow.completeness import OverlapReport, ProtocolOverlap, VennTriple, _victim_probe
+    from honeyflow.completeness import OverlapReport, ProtocolOverlap, VennTriple
 
     if slack_s < 0:
         raise ValueError(f"slack_s must be >= 0: {slack_s}")
@@ -521,7 +527,7 @@ def oracle_match_baseline(attacks, baseline, *, slack_s: float = 0.0):
     victims_per_port: dict[int, set] = {}
 
     for attack in attacks:
-        probe = _victim_probe(attack.victim)
+        probe = _oracle_victim_probe(attack.victim)
         for port in attack.dst_ports:
             victims_per_port.setdefault(port, set()).add(attack.victim)
         for idx, (b, nets) in enumerate(portful):
@@ -704,11 +710,16 @@ def oracle_rank_statistics(shares, union_size):
     return RankStatistics(len(shares), union_size, shares.min(axis=0), q1, medians, q3, shares.max(axis=0))
 
 
+def _oracle_relative_delta(new, old) -> float:
+    """The largest |new - old| / old over the entries; an entry moving off 0 counts 1, one staying at 0 counts 0."""
+    return max(abs(n - o) / o if o else float(n != 0) for n, o in zip(new.tolist(), old.tolist()))
+
+
 def oracle_stability_points(shares, batch):
     """Min/median/max movement over the first batch, 2 * batch, ... rows of ``shares``."""
     import numpy as np
 
-    from honeyflow.convergence import StabilityPoint, _relative_delta
+    from honeyflow.convergence import StabilityPoint
 
     points = []
     prev = None
@@ -718,7 +729,7 @@ def oracle_stability_points(shares, batch):
         if prev is None:
             points.append(StabilityPoint(done, 1.0, 1.0, 1.0))
         else:
-            points.append(StabilityPoint(done, *map(_relative_delta, summary, prev)))
+            points.append(StabilityPoint(done, *map(_oracle_relative_delta, summary, prev)))
         prev = summary
     return points
 

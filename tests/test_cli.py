@@ -494,6 +494,24 @@ def test_bytes_not_utf8_exit_2(tmp_path, corpus_dir, capsys, argv):
     assert capsys.readouterr().err == f"honeyflow: error: {bad}: line 2: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff{}", "{path}: malformed scenario spec: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"),
+    (b'{"a": 1, x}', "{path}: malformed scenario spec: Expecting property name enclosed in double quotes: "
+                     "line 1 column 10 (char 9)"),
+    (b'{"attacks": [{"victim": "198.51.100.9", "dst_port": -1}]}', "attack-1: dst_port out of range: -1"),
+    (b'{"scans": [{"source": "198.51.100.9", "start": -1e400}]}',
+     "scan-1: ts must be finite and non-negative: -inf"),
+    (b'{"baseline_slack_s": 1e400}', "scenario spec: baseline_slack_s must be finite and >= 0: inf"),
+])
+def test_spec_errors_name_the_file_or_the_part(tmp_path, capsys, data, message):
+    # a spec that is no JSON document names the file; a planted row that is no event names its part
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(data)
+    assert run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {message.format(path=spec)}\n"
+
+
 @pytest.mark.parametrize("command, other, bad_flag", [
     ("overlap", "--baseline", "--baseline"),
     ("overlap", "--baseline", "--events"),
@@ -556,6 +574,24 @@ def test_synth_bad_field_type_exit_2(tmp_path, capsys, data, message):
     assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
 
 
+def _cli_on_file(data: bytes, *argv: str) -> tuple[int, str, str]:
+    """Run the CLI with ``data`` in a scratch file whose path replaces ``{file}`` in ``argv``;
+    the exit code, that path, and what went to stderr."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "input")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*[path if arg == "{file}" else arg for arg in argv], "--out", os.path.join(scratch, "out"))
+    return code, path, err.getvalue()
+
+
+def _assert_0_or_names_the_line(code: int, path: str, err: str) -> None:
+    assert code in (0, 2)
+    assert re.fullmatch("" if code == 0 else f"honeyflow: error: {re.escape(path)}: line [0-9]+: [^\n]+\n", err)
+
+
 _GOOD_BASELINE = (
     '{"start_ts":0.0,"end_ts":328.9,"protocols":[123],"prefixes":["203.0.113.0/24"]}\n'
     '{"start_ts":100.0,"end_ts":400.0,"protocols":[53,123],"prefixes":["203.0.113.11/32","198.51.100.0/24"]}\n'
@@ -604,17 +640,92 @@ def _mutated_baselines(draw) -> bytes:
 @example(data=b'{"start_ts":0,"end_ts":1,"protocols":[{"a":1}],"prefixes":["10.0.0.0/24"]}\n')
 def test_mutated_baseline_exits_0_or_names_the_line(corpus_dir, data):
     # whatever the damage, overlap succeeds or reports one format error naming the file and line
-    with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "baseline.jsonl")
-        with open(path, "wb") as handle:
-            handle.write(data)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run_cli("overlap", "--preset", "ccc", "--events", str(corpus_dir / "events.jsonl"),
-                           "--baseline", path, "--out", os.path.join(scratch, "out"))
-    assert code in (0, 2)
-    if code == 2:
-        assert re.fullmatch(f"honeyflow: error: {re.escape(path)}: line [0-9]+: [^\n]+\n", err.getvalue())
+    _assert_0_or_names_the_line(*_cli_on_file(data, "overlap", "--preset", "ccc", "--events",
+                                              str(corpus_dir / "events.jsonl"), "--baseline", "{file}"))
+
+
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+def _byte_damage(draw, data: bytes) -> bytes:
+    """``data`` with one byte flipped, cut short, or with bytes that are not UTF-8 put in."""
+    kind = draw(st.sampled_from(["flip", "cut", "not utf-8"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if kind == "cut":
+        return data[:at]
+    return data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+
+
+def _mutated_field(draw, line: str, names: list[str]) -> str:
+    """``line`` with one JSON field nested, given a value of the wrong type, or replaced by an odd number."""
+    name = draw(st.sampled_from(names))
+    match = re.search(f'"{name}": ?("[^"]*"|\\[[^\\]]*\\]|[^,}}]+)', line)
+    kind = draw(st.sampled_from(["nest", "type", "number"]))
+    if kind == "nest":
+        depth = draw(st.sampled_from([1, 2, 100_000]))
+        value = "[" * depth + match.group(1) + "]" * depth
+    else:
+        value = draw(st.sampled_from(_WRONG_TYPES if kind == "type" else _ODD_NUMBERS))
+    return line[:match.start(1)] + value + line[match.end(1):]
+
+
+_GOOD_EVENTS = (
+    '{"ts":0.5,"sensor":"s01","src_ip":"203.0.113.9","src_port":4444,"dst_ip":"192.0.2.1","dst_port":123}\n'
+    '{"ts":1.25,"sensor":"s02","src_ip":"203.0.113.9","src_port":4444,"dst_ip":"192.0.2.2","dst_port":123}\n'
+    '\n'
+    '{"ts":7,"sensor":"s01","src_ip":"45.0.0.3","src_port":50000,"dst_ip":"192.0.2.1","dst_port":53}\n'
+)
+_GOOD_PROFILES = (
+    '{"name":"NTP","dst_port":123,"request_size":13.0,"amplification_factor":557.0,"amplifier_count":2300000}\n'
+    '{"name":"DNS","dst_port":53,"request_size":37,"amplification_factor":41.0,"amplifier_count":1900000}\n'
+)
+_GOOD_SCANNERS = "# telescope\n203.0.113.200\n\n45.0.0.3\n"
+_ODD_ADDRESSES = ["::1", "1.2.3", "1.2.3.4.5", "01.2.3.4", "256.0.0.1", "1.2.3.4/24", " ", "#", "١.2.3.4", "1.2.3.٤"]
+
+
+@st.composite
+def _mutated_lines(draw, good: str, names: list[str]) -> bytes:
+    """``good`` with byte damage, or with one field of one JSON line mutated."""
+    if draw(st.booleans()):
+        return _byte_damage(draw, good.encode())
+    lines = good.splitlines(keepends=True)
+    i = draw(st.sampled_from([k for k, line in enumerate(lines) if line.strip()]))
+    lines[i] = _mutated_field(draw, lines[i], names)
+    return "".join(lines).encode()
+
+
+@st.composite
+def _mutated_scanner_lists(draw) -> bytes:
+    """The good scanner list with byte damage, or one address replaced by an odd one."""
+    if draw(st.booleans()):
+        return _byte_damage(draw, _GOOD_SCANNERS.encode())
+    return _GOOD_SCANNERS.replace("45.0.0.3", draw(st.sampled_from(_ODD_ADDRESSES))).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated_lines(_GOOD_EVENTS, ["ts", "sensor", "src_ip", "src_port", "dst_ip", "dst_port"]))
+@example(data=_GOOD_EVENTS.encode())
+def test_mutated_events_exit_0_or_name_the_line(data):
+    _assert_0_or_names_the_line(*_cli_on_file(data, "detect", "--preset", "ccc", "--events", "{file}"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated_lines(_GOOD_PROFILES, ["name", "dst_port", "request_size", "amplification_factor",
+                                            "amplifier_count"]))
+@example(data=_GOOD_PROFILES.encode())
+@example(data=_GOOD_PROFILES.replace("2300000", "1" + "0" * 400).encode())  # once an OverflowError traceback
+def test_mutated_profiles_exit_0_or_name_the_line(data):
+    _assert_0_or_names_the_line(*_cli_on_file(data, "evade", "--profiles", "{file}"))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_mutated_scanner_lists())
+@example(data=_GOOD_SCANNERS.encode())
+def test_mutated_scanners_exit_0_or_name_the_line(corpus_dir, data):
+    _assert_0_or_names_the_line(*_cli_on_file(data, "scanners", "--preset", "ccc", "--events",
+                                              str(corpus_dir / "events.jsonl"), "--scanners", "{file}"))
 
 
 _GOOD_SPEC = {
@@ -632,9 +743,11 @@ _WRONG_TYPES = ['"x"', "null", "true", "{}", "[]"]
 
 
 @st.composite
-def _mutated_specs(draw) -> str:
-    """The good spec with one field, of the scenario or of its attack, scan or carpet, nested,
-    given a value of the wrong JSON type, or replaced by an odd number."""
+def _mutated_specs(draw) -> bytes:
+    """The good spec with byte damage, or with one field, of the scenario or of its attack, scan or
+    carpet, nested, given a value of the wrong JSON type, or replaced by an odd number."""
+    if draw(st.integers(0, 3)) == 0:
+        return _byte_damage(draw, json.dumps(_GOOD_SPEC).encode())
     spec = json.loads(json.dumps(_GOOD_SPEC))
     part = draw(st.sampled_from([None, "attacks", "scans", "carpets"]))
     fields = spec if part is None else spec[part][0]
@@ -646,23 +759,24 @@ def _mutated_specs(draw) -> str:
     else:
         value = draw(st.sampled_from(_WRONG_TYPES if kind == "type" else _SPEC_ODD_NUMBERS))
     fields[name] = "<mutated>"
-    return json.dumps(spec).replace('"<mutated>"', value)
+    return json.dumps(spec).replace('"<mutated>"', value).encode()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(data=_mutated_specs())
-@example(data=json.dumps(_GOOD_SPEC))
+@example(data=json.dumps(_GOOD_SPEC).encode())
+@example(data=b"\xff" + json.dumps(_GOOD_SPEC).encode())
 def test_mutated_spec_exits_0_or_2_with_one_error_line(data):
-    # whatever the damage, synth succeeds or reports one error; any other exception fails the test
-    with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "spec.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(data)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run_cli("synth", "--spec", path, "--out", os.path.join(scratch, "out"))
-    assert code == 0 if data == json.dumps(_GOOD_SPEC) else code in (0, 2)
-    assert re.fullmatch("" if code == 0 else "honeyflow: error: [^\n]+\n", err.getvalue())
+    # whatever the damage, synth succeeds or reports one error, naming the file if it is no JSON
+    # document; any other exception fails the test
+    code, path, err = _cli_on_file(data, "synth", "--spec", "{file}")
+    assert code == 0 if data == json.dumps(_GOOD_SPEC).encode() else code in (0, 2)
+    try:
+        json.loads(data.decode("utf-8"))
+        names = "[^\n]+"
+    except (ValueError, RecursionError):
+        names = f"{re.escape(path)}: malformed scenario spec: [^\n]+"
+    assert re.fullmatch("" if code == 0 else f"honeyflow: error: {names}\n", err)
 
 
 def test_converge_without_attacks_exit_2(tmp_path, corpus_dir, capsys):

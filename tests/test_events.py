@@ -325,6 +325,19 @@ def test_trace_sort_is_stable_for_dst_ip_ties(tmp_path):
     assert load_trace(str(path)) == [first, second]
 
 
+def test_each_sort_field_breaks_the_ties_of_those_before_it(tmp_path):
+    # every combination of two values per key field, written in reverse canonical order; "10.0.0.1"
+    # sorts before "9.9.9.9" as a string, not as a number
+    events = [
+        sample_event(ts=ts, sensor=sensor, src_ip=src_ip, src_port=src_port, dst_port=dst_port)
+        for ts in (1.0, 2.0) for sensor in ("s1", "s2") for src_ip in ("10.0.0.1", "9.9.9.9")
+        for src_port in (1, 2) for dst_port in (1, 2)
+    ]
+    path = tmp_path / "t.jsonl"
+    write_trace(events[::-1], str(path))
+    assert load_trace(str(path)) == events
+
+
 def test_baseline_round_trip_and_normalization():
     record = BaselineAttack(
         start_ts=100.0,
@@ -446,6 +459,7 @@ _GOOD_PROFILE = {"name": "NTP", "dst_port": 123, "request_size": 13.0,
         ("amplifier_count", 2.0, "amplifier_count must be a positive integer: 2.0"),
         ("amplifier_count", "5", "amplifier_count must be a positive integer: 5"),
         ("amplifier_count", 0, "amplifier_count must be a positive integer: 0"),
+        ("amplifier_count", 10**400, "amplifier_count is beyond the float range"),
     ],
 )
 def test_load_profiles_rejects_each_bad_field(tmp_path, field, value, message):

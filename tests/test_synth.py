@@ -1,10 +1,11 @@
+import hashlib
 import importlib
 import json
 import re
 
 import pytest
 
-from honeyflow import trace_sort_key
+from honeyflow import PacketEvent, Trace, trace_sort_key
 from honeyflow.events import ipv4_to_int, load_baseline, load_scanner_list, load_trace
 from honeyflow.synth import (
     AttackSpec,
@@ -211,6 +212,40 @@ def test_contradictions_raise(spec_kwargs, fragment):
         synth(ScenarioSpec(seed=0, **spec_kwargs))
 
 
+def test_planted_rows_are_checked_once_as_columns(monkeypatch):
+    # a good spec builds no PacketEvent: its rows pass the trace reader's column checks only
+    built = []
+    monkeypatch.setattr(PacketEvent, "__post_init__", lambda self: built.append(self))
+    corpus = synth(FULL_SPEC)
+    assert isinstance(corpus.events, Trace) and built == []
+
+
+@pytest.mark.parametrize(
+    "spec_kwargs, message",
+    [
+        (dict(attacks=(AttackSpec(victim="203.0.113.1", dst_port=-1),)), "attack-1: dst_port out of range: -1"),
+        (dict(attacks=(AttackSpec(victim="203.0.113.1", src_port=True),)), "attack-1: src_port must be an integer"),
+        (dict(scans=(ScanSpec(source="203.0.113.200", ports=(53, 70000)),)), "scan-1: dst_port out of range: 70000"),
+        (dict(scans=(ScanSpec(source="203.0.113.200", start=float("-inf")),)),
+         "scan-1: ts must be finite and non-negative: -inf"),
+        # the bad row lies in the third 1 024-row chunk, after 2 400 good ones
+        (dict(noise_packets=100, attacks=(AttackSpec(victim="203.0.113.1", stop=300.0),),
+              carpets=(CarpetSpec(dst_port=65536, start=400.0),)), "carpet-1: dst_port out of range: 65536"),
+    ],
+)
+def test_bad_planted_row_names_its_part(spec_kwargs, message):
+    with pytest.raises(SynthesisError) as info:
+        synth(ScenarioSpec(seed=0, **spec_kwargs))
+    assert str(info.value) == message
+
+
+def test_rejected_rows_no_event_reproduces_raise(monkeypatch):
+    # like load_trace, synth never passes over rows the column checks reject
+    monkeypatch.setattr(importlib.import_module("honeyflow.trace")._Rows, "add", lambda self, *columns: False)
+    with pytest.raises(AssertionError, match="the column checks rejected planted rows that PacketEvent accepts"):
+        synth(FULL_SPEC)
+
+
 def test_packet_cap_admits_exactly_the_planted_count(monkeypatch):
     # attacks on all and on listed sensors, a scan, a carpet and noise, counted as synth plants them
     n = len(synth(FULL_SPEC).events)
@@ -311,6 +346,69 @@ def test_write_corpus_round_trip(tmp_path):
     assert truth["baseline_matched"] == 4
     assert truth["carpet_prefixes"] == ["198.51.100.0/24"]
     assert set(truth["victims"]) == corpus.victims
+
+
+# The corpus of test_acceptance's C10, and one of 17 k packets that fills many 1 024-row chunks.
+C10_SPEC = ScenarioSpec(
+    seed=5,
+    sensors=5,
+    duration_s=2000.0,
+    attacks=(
+        AttackSpec(victim="203.0.113.10", dst_port=123, start=0.0, stop=300.0, rate_pps=0.5),
+        AttackSpec(victim="203.0.113.11", dst_port=53, start=100.0, stop=400.0, rate_pps=0.5),
+    ),
+    scans=(ScanSpec(source="203.0.113.200", ports=(53, 123), start=500.0),),
+    noise_packets=100,
+    baseline_events=10,
+    baseline_overlap=0.2,
+)
+NOISE_SPEC = ScenarioSpec(seed=7, sensors=12, duration_s=3600.0, noise_packets=10_000,
+                          attacks=(AttackSpec(victim="203.0.113.10", stop=600.0),))
+
+# sha256 of each file write_corpus writes, as synth wrote them when it sorted PacketEvent
+# objects by trace_sort_key: the rows it plants now go through the trace reader's column
+# checks and canonical sort, and the bytes must not move.
+_CORPUS_SHA256 = {
+    "c10": (C10_SPEC, {
+        "baseline.jsonl": "924342d1d346c9c7e9cc1040e6dc24ddbb719385e864655d129ba7d2bb2f4144",
+        "events.jsonl": "490a5602d19f300adaf55b3283b0fdd654acc7bb99934b2f7b0a7b0849b0d621",
+        "labels.csv": "22facfe723780279a5298852382cccb80255141a473b77d662e588015ebc5965",
+        "scanners.txt": "a4a22f51a369b649cf8471a21cc9acf03ce6e6887a56a431db56ff7338d12d67",
+        "truth.json": "fbec1312777b33df1129897033d8578034a7dfb0eb6e957b64dfc11c372c7ba1",
+    }),
+    "full": (FULL_SPEC, {
+        "baseline.jsonl": "10108a3a8845bb41952cb14269edc8b6e884ec62e04f03374c7c6b3e2187ef77",
+        "events.jsonl": "7e9fc0dcef60b6b9bf05b31dd479a6cb4f9ab30f36e9990721bb38ffe1b4cc92",
+        "labels.csv": "0fcd3eca4daa329e264b60f641391b15545ea8bb62190bd01aecc204e1f05bd9",
+        "scanners.txt": "a4a22f51a369b649cf8471a21cc9acf03ce6e6887a56a431db56ff7338d12d67",
+        "truth.json": "0aaac477ebc506ce6aa1f63f56af821cfea111e7b837a9094b85bfc5fcc17caf",
+    }),
+    "noise": (NOISE_SPEC, {
+        "events.jsonl": "1a2bc77901088153e9f559eae2ec1c043c866d33c3b8f4911231cf736df2e2dd",
+        "labels.csv": "15471811e0ce3aaf220129e8dee0151adadf24304aed8a43532b3d95232a3c33",
+        "truth.json": "11f17cad75bd106a91b9fdf6170fc6844195ee2c8060341a4eba79eeb1da3412",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS_SHA256))
+def test_write_corpus_bytes_are_pinned(tmp_path, name):
+    spec, expected = _CORPUS_SHA256[name]
+    write_corpus(synth(spec), str(tmp_path))
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()} == expected
+
+
+def test_integer_scan_times_are_written_as_floats_and_load_equal(tmp_path):
+    # a scan of integer start and spacing plants 5 + 2k; the trace holds them as float64
+    spec = ScenarioSpec(seed=1, sensors=2, duration_s=100.0,
+                        scans=(ScanSpec(source="203.0.113.200", start=5, spacing_s=2),))
+    corpus = synth(spec)
+    write_corpus(corpus, str(tmp_path))
+    text = (tmp_path / "events.jsonl").read_text()
+    assert [json.loads(line)["ts"] for line in text.splitlines()] == [5.0, 7.0]
+    assert text.count('"ts":5.0,') == text.count('"ts":7.0,') == 1
+    (tmp_path / "int.jsonl").write_text(text.replace('"ts":5.0,', '"ts":5,').replace('"ts":7.0,', '"ts":7,'))
+    assert load_trace(str(tmp_path / "int.jsonl")) == load_trace(str(tmp_path / "events.jsonl")) == corpus.events
 
 
 def test_write_corpus_skips_empty_artifacts(tmp_path):
