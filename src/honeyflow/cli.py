@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import chain
 
 from . import __version__
 from .completeness import (
@@ -47,7 +48,7 @@ from .detection import (
     write_attack_report,
 )
 from .evasion import BUILTIN_PROFILES, evasion_rows, write_evasion_csv
-from .events import FormatError, load_baseline, load_profiles, load_scanner_list, load_trace, open_artifact
+from .events import FormatError, _write_json, _write_lines, load_baseline, load_profiles, load_scanner_list, load_trace
 from .sweep import sweep, write_heatmap_csv
 from .synth import spec_from_dict, spec_to_dict, synth, write_corpus
 
@@ -103,9 +104,7 @@ def _write_manifest(out: str, subcommand: str, config: dict, outputs: list[str])
         "config": config,
         "outputs": sorted(outputs),
     }
-    path = os.path.join(out, "manifest.json")
-    with open_artifact(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out, "manifest.json"), payload)
 
 
 def _add_detector_args(parser: argparse.ArgumentParser) -> None:
@@ -213,10 +212,9 @@ def _cmd_detect(parser: _Parser, args) -> int:
             window_s=detector.thresholds.idle_timeout,
         )
     write_attack_report(attacks, detector.name, os.path.join(out, "attacks.jsonl"))
-    with open_artifact(os.path.join(out, "victims.csv")) as handle:
-        handle.write("victim,granularity\n")
-        for victim in sorted(victims(attacks), key=lambda v: v.sort_key()):
-            handle.write(f"{victim.identity},{victim.granularity}\n")
+    flagged = sorted(victims(attacks), key=lambda v: v.sort_key())
+    rows = (f"{victim.identity},{victim.granularity}" for victim in flagged)
+    _write_lines(os.path.join(out, "victims.csv"), chain(["victim,granularity"], rows))
     config.update(
         {
             "events": args.events,

@@ -23,8 +23,7 @@ never enter the per-protocol table or the Venn triple.
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -43,7 +42,7 @@ from .detection import (
     _distinct_pairs,
     victims,
 )
-from .events import BaselineAttack, PacketEvent, ScannerList, ipv4_to_int, open_artifact, prefix_net_mask
+from .events import BaselineAttack, PacketEvent, ScannerList, _write_csv, _write_json, ipv4_to_int, prefix_net_mask
 from .flows import FlowScheme
 from .trace import as_trace
 
@@ -185,6 +184,13 @@ def _covered_ports(
     return covered
 
 
+def _check_slack(slack_s: float) -> None:
+    if not slack_s >= 0:  # NaN too: no window can be widened by it
+        raise ValueError(f"slack_s must be >= 0: {slack_s}")
+    if slack_s == math.inf:  # as synth's baseline_slack_s: every record would span all time
+        raise ValueError(f"slack_s must be finite: {slack_s}")
+
+
 def match_baseline(
     attacks: Sequence[AttackEvent],
     baseline: Sequence[BaselineAttack],
@@ -202,8 +208,7 @@ def match_baseline(
     attack ports, so rows exist for protocols only one side saw. Upper-bound
     fields stay zero here; :func:`overlap_report` fills them in.
     """
-    if not slack_s >= 0:  # NaN too: no window can be widened by it
-        raise ValueError(f"slack_s must be >= 0: {slack_s}")
+    _check_slack(slack_s)
     keys, filed, masks = _filed(baseline)
     record_spans: dict[_Key, list[tuple[float, float]]] = {}
     for record, record_keys in zip(baseline, keys):
@@ -272,8 +277,7 @@ def upper_bound(
     a bound on every detector: an attack whose span straddles a record
     window with no packet inside it confirms the record, the packets do not.
     """
-    if not slack_s >= 0:  # NaN too: no window can be widened by it
-        raise ValueError(f"slack_s must be >= 0: {slack_s}")
+    _check_slack(slack_s)
     trace = as_trace(events)
     keys, filed, masks = _filed(baseline)
     # packets are zero-length spans; in ts order, the stamps under a key are
@@ -354,17 +358,13 @@ def report_to_dict(report: OverlapReport) -> dict:
 
 
 def write_overlap_json(report: OverlapReport, path: str) -> None:
-    with open_artifact(path) as handle:
-        handle.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    _write_json(path, report_to_dict(report))
 
 
 def write_venn_csv(report: OverlapReport, path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["set", "count"])
-        writer.writerow(["honeypot_only", report.venn.honeypot_only])
-        writer.writerow(["overlap", report.venn.overlap])
-        writer.writerow(["baseline_only", report.venn.baseline_only])
+    venn = report.venn
+    rows = [["honeypot_only", venn.honeypot_only], ["overlap", venn.overlap], ["baseline_only", venn.baseline_only]]
+    _write_csv(path, ["set", "count"], rows)
 
 
 # -- scanner classification ---------------------------------------------------
@@ -434,23 +434,12 @@ def classify_sources(
 
 
 def write_source_classes_csv(classification: SourceClassification, path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["source", "class", "packets", "attack_events"])
-        for source in sorted(classification.classes, key=ipv4_to_int):
-            writer.writerow(
-                [
-                    source,
-                    classification.classes[source],
-                    classification.packets[source],
-                    classification.attack_events[source],
-                ]
-            )
+    c = classification
+    rows = ([s, c.classes[s], c.packets[s], c.attack_events[s]] for s in sorted(c.classes, key=ipv4_to_int))
+    _write_csv(path, ["source", "class", "packets", "attack_events"], rows)
 
 
 def write_class_shares_csv(classification: SourceClassification, path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["class", "count", "share"])
-        for name in (CLASS_ATTACK, CLASS_SCAN_ONLY, CLASS_UNSEEN):
-            writer.writerow([name, classification.counts[name], classification.shares[name]])
+    c = classification
+    rows = ([name, c.counts[name], c.shares[name]] for name in (CLASS_ATTACK, CLASS_SCAN_ONLY, CLASS_UNSEEN))
+    _write_csv(path, ["class", "count", "share"], rows)

@@ -25,14 +25,14 @@ to extrapolate how many victims exist beyond any sensor's view.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .events import open_artifact
+from .events import _write_csv
 
 __all__ = [
     "GREEDY_MAX_COVERAGE",
@@ -368,33 +368,16 @@ def capture_recapture(sample_a: Iterable[Hashable], sample_b: Iterable[Hashable]
 # -- CSV artifacts ----------------------------------------------------------
 
 def write_greedy_csv(curve: ConvergenceCurve, path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "sensor", "new_victims", "cumulative", "share"])
-        for rank, sensor in enumerate(curve.sensors, 1):
-            writer.writerow(
-                [
-                    rank,
-                    sensor,
-                    curve.new_victims[rank - 1],
-                    curve.cumulative[rank - 1],
-                    curve.shares[rank - 1],
-                ]
-            )
+    rows = zip(count(1), curve.sensors, curve.new_victims, curve.cumulative, curve.shares)
+    _write_csv(path, ["rank", "sensor", "new_victims", "cumulative", "share"], rows)
 
 
 def write_rank_statistics_csv(stats: RankStatistics, path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "min", "q1", "median", "q3", "max"])
-        columns = (stats.mins, stats.q1, stats.medians, stats.q3, stats.maxs)
-        for rank, *values in zip(range(1, stats.n_ranks + 1), *columns):
-            writer.writerow([rank, *map(float, values)])
+    columns = (stats.mins, stats.q1, stats.medians, stats.q3, stats.maxs)
+    rows = ([rank, *map(float, values)] for rank, *values in zip(count(1), *columns))
+    _write_csv(path, ["rank", "min", "q1", "median", "q3", "max"], rows)
 
 
 def write_stability_csv(points: Sequence[StabilityPoint], path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n_permutations", "dmin", "dmedian", "dmax"])
-        for point in points:
-            writer.writerow([point.n_permutations, point.dmin, point.dmedian, point.dmax])
+    rows = ([point.n_permutations, point.dmin, point.dmedian, point.dmax] for point in points)
+    _write_csv(path, ["n_permutations", "dmin", "dmedian", "dmax"], rows)

@@ -18,7 +18,7 @@ flows that attack.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import attrgetter
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import PacketEvent, int_to_ipv4, ipv4_to_int, open_artifact
+from .events import PacketEvent, _compact_json, _write_lines, int_to_ipv4, ipv4_to_int
 from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit
 from .trace import Trace, _string_codes, as_trace
 
@@ -80,6 +80,8 @@ class AttackThresholds:
     def __post_init__(self) -> None:
         if not self.idle_timeout > 0:
             raise ValueError(f"idle_timeout must be positive: {self.idle_timeout}")
+        if self.idle_timeout == math.inf:  # a run would never split, and the manifest would echo no JSON number
+            raise ValueError(f"idle_timeout must be finite: {self.idle_timeout}")
         if self.min_packets < 1:
             raise ValueError(f"min_packets must be >= 1: {self.min_packets}")
         if self.min_dst_ports < 1:
@@ -544,21 +546,17 @@ def detect_carpet_bombing(
 
 def write_attack_report(attacks: Iterable[AttackEvent], preset_name: str, path: str) -> None:
     """JSONL report, one attack event per line, set fields as sorted lists."""
-    with open_artifact(path) as handle:
-        for event in attacks:
-            handle.write(
-                json.dumps(
-                    {
-                        "victim": event.victim.identity,
-                        "granularity": event.victim.granularity,
-                        "first_ts": event.first_ts,
-                        "last_ts": event.last_ts,
-                        "packets": event.total_packets,
-                        "sensors": sorted(event.sensors),
-                        "dst_ports": sorted(event.dst_ports),
-                        "preset": preset_name,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+    records = (
+        {
+            "victim": event.victim.identity,
+            "granularity": event.victim.granularity,
+            "first_ts": event.first_ts,
+            "last_ts": event.last_ts,
+            "packets": event.total_packets,
+            "sensors": sorted(event.sensors),
+            "dst_ports": sorted(event.dst_ports),
+            "preset": preset_name,
+        }
+        for event in attacks
+    )
+    _write_lines(path, map(_compact_json, records))

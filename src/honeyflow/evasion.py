@@ -16,13 +16,12 @@ point the flow split cannot matter for any threshold of 5 or more.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .detection import PRESETS, DetectionPreset
-from .events import ProtocolProfile, _check_positive, open_artifact
+from .events import ProtocolProfile, _check_positive, _write_csv
 
 __all__ = [
     "BUILTIN_PROFILES",
@@ -220,36 +219,24 @@ def _number(value: float) -> str:
 
 
 def write_evasion_csv(rows: Sequence[dict], path: str) -> None:
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "port",
-                "protocol",
-                "request_bytes",
-                "factor",
-                "amplifiers",
-                "reqs_attack",
-                "reqs_amplifier",
-                "amppotmod",
-                "ccc",
-                "newkid",
-                "hpi",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["port"],
-                    row["protocol"],
-                    _number(row["request_bytes"]),
-                    _number(row["factor"]),
-                    row["amplifiers"],
-                    f"{row['reqs_attack_millions']:.1f}M",
-                    row["reqs_amplifier"],
-                    int(row["amppotmod"]),
-                    int(row["ccc"]),
-                    int(row["newkid"]),
-                    int(row["hpi"]),
-                ]
-            )
+    header = [
+        "port", "protocol", "request_bytes", "factor", "amplifiers", "reqs_attack", "reqs_amplifier",
+        "amppotmod", "ccc", "newkid", "hpi",
+    ]
+    cells = (
+        [
+            row["port"],
+            row["protocol"],
+            _number(row["request_bytes"]),
+            _number(row["factor"]),
+            row["amplifiers"],
+            f"{row['reqs_attack_millions']:.1f}M",
+            row["reqs_amplifier"],
+            int(row["amppotmod"]),
+            int(row["ccc"]),
+            int(row["newkid"]),
+            int(row["hpi"]),
+        ]
+        for row in rows
+    )
+    _write_csv(path, header, cells)

@@ -8,10 +8,15 @@ offending field and line number. Blank lines are skipped everywhere.
 
 Addresses are IPv4 only. IPv6 input is rejected with a clear error rather
 than silently mangled.
+
+Every artifact is written by one of three helpers here: ``\n``-terminated
+text lines (JSONL records among them, laid out by one compact encoder), CSV
+with a header row, or an indented JSON document.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -68,6 +73,31 @@ def open_artifact(path: str) -> TextIO:
     except FileNotFoundError:
         pass
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+# The one layout of a JSONL record: no spaces, keys in the order given.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a ``\\n`` after it to a new artifact at ``path``."""
+    with open_artifact(path) as handle:
+        write = handle.write
+        for line in lines:
+            write(line + "\n")
+
+
+def _write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` then ``rows`` as CSV with ``\\n`` line ends to a new artifact at ``path``."""
+    with open_artifact(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: str, value) -> None:
+    """Write ``value`` as a JSON document, two-space indent and sorted keys, to a new artifact at ``path``."""
+    _write_lines(path, [json.dumps(value, indent=2, sort_keys=True)])
 
 
 # -- IPv4 helpers -------------------------------------------------------------
@@ -283,7 +313,7 @@ def parse_event_line(line: str, line_no: int = 0) -> PacketEvent:
 
 def serialize_event(event: PacketEvent) -> str:
     """Inverse of :func:`parse_event_line`; round-trips exactly (floats via repr)."""
-    return json.dumps(
+    return _compact_json(
         {
             "ts": event.ts,
             "sensor": event.sensor,
@@ -291,8 +321,7 @@ def serialize_event(event: PacketEvent) -> str:
             "src_port": event.src_port,
             "dst_ip": event.dst_ip,
             "dst_port": event.dst_port,
-        },
-        separators=(",", ":"),
+        }
     )
 
 
@@ -325,7 +354,7 @@ def load_trace(path: str) -> Trace:
     """
     from .trace import _read_trace  # the trace module builds on this one
 
-    trace = _read_trace(path, ipv4_to_int)
+    trace = _read_trace(path)
     if trace is None:
         for line_no, line in _nonblank_lines(path):
             parse_event_line(line, line_no)
@@ -334,9 +363,7 @@ def load_trace(path: str) -> Trace:
 
 
 def write_trace(events: Iterable[PacketEvent], path: str) -> None:
-    with open_artifact(path) as handle:
-        for event in events:
-            handle.write(serialize_event(event) + "\n")
+    _write_lines(path, map(serialize_event, events))
 
 
 # -- baseline attack records ---------------------------------------------------
@@ -403,14 +430,13 @@ def parse_baseline_line(line: str, line_no: int = 0) -> BaselineAttack:
 
 
 def serialize_baseline(attack: BaselineAttack) -> str:
-    return json.dumps(
+    return _compact_json(
         {
             "start_ts": attack.start_ts,
             "end_ts": attack.end_ts,
             "protocols": sorted(attack.protocols),
             "prefixes": [_cidr(*pair) for pair in attack.nets],
-        },
-        separators=(",", ":"),
+        }
     )
 
 
@@ -422,9 +448,7 @@ def load_baseline(path: str) -> list[BaselineAttack]:
 
 
 def write_baseline(records: Iterable[BaselineAttack], path: str) -> None:
-    with open_artifact(path) as handle:
-        for record in records:
-            handle.write(serialize_baseline(record) + "\n")
+    _write_lines(path, map(serialize_baseline, records))
 
 
 # -- scanner lists --------------------------------------------------------------
@@ -456,11 +480,8 @@ def load_scanner_list(path: str, region_label: str = "") -> ScannerList:
 
 
 def write_scanner_list(scanners: ScannerList, path: str) -> None:
-    with open_artifact(path) as handle:
-        if scanners.region_label:
-            handle.write(f"# {scanners.region_label}\n")
-        for source in sorted(scanners.sources, key=ipv4_to_int):
-            handle.write(source + "\n")
+    comment = [f"# {scanners.region_label}"] if scanners.region_label else []
+    _write_lines(path, comment + sorted(scanners.sources, key=ipv4_to_int))
 
 
 # -- amplification protocol profiles --------------------------------------------
@@ -507,18 +528,4 @@ def load_profiles(path: str) -> list[ProtocolProfile]:
 
 
 def write_profiles(profiles: Iterable[ProtocolProfile], path: str) -> None:
-    with open_artifact(path) as handle:
-        for profile in profiles:
-            handle.write(
-                json.dumps(
-                    {
-                        "name": profile.name,
-                        "dst_port": profile.dst_port,
-                        "request_size": profile.request_size,
-                        "amplification_factor": profile.amplification_factor,
-                        "amplifier_count": profile.amplifier_count,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+    _write_lines(path, (_compact_json({key: getattr(profile, key) for key in _PROFILE_KEYS}) for profile in profiles))

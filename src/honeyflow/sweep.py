@@ -11,14 +11,13 @@ AttackEvent. A cell is therefore the size of what
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .detection import AttackThresholds, _attack_runs, _split_columns
-from .events import PacketEvent, open_artifact
+from .events import PacketEvent, _write_csv
 from .flows import FlowScheme, _KeyedSplit
 from .trace import as_trace
 
@@ -97,11 +96,9 @@ def _axis_value(value: float) -> str:
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str) -> None:
     """Long-form CSV, rows ordered by (timeout, load)."""
-    with open_artifact(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["timeout_s", "min_packets", "attack_flows", "victims"])
-        for i, timeout in enumerate(grid.timeouts):
-            for j, load in enumerate(grid.loads):
-                writer.writerow(
-                    [_axis_value(timeout), load, int(grid.attack_flows[i, j]), int(grid.victims[i, j])]
-                )
+    rows = (
+        [_axis_value(timeout), load, int(grid.attack_flows[i, j]), int(grid.victims[i, j])]
+        for i, timeout in enumerate(grid.timeouts)
+        for j, load in enumerate(grid.loads)
+    )
+    _write_csv(path, ["timeout_s", "min_packets", "attack_flows", "victims"], rows)

@@ -17,11 +17,11 @@ complete, reproducible description of its corpus.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from itertools import chain
 from typing import Sequence
 
 from .events import (
@@ -29,10 +29,11 @@ from .events import (
     PacketEvent,
     ScannerList,
     _is_finite,
+    _write_json,
+    _write_lines,
     int_to_ipv4,
     ipv4_to_int,
     normalize_prefix,
-    open_artifact,
     prefix_net_mask,
     write_baseline,
     write_scanner_list,
@@ -242,7 +243,7 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
     sensor_ids = tuple(f"s{i:02d}" for i in range(1, spec.sensors + 1))
     sensor_addrs = tuple(f"192.0.2.{i}" for i in range(1, spec.sensors + 1))
 
-    rows = _Rows(ipv4_to_int)  # checked, coded and sorted as the trace reader does it
+    rows = _Rows()  # checked, coded and sorted as the trace reader does it
     chunk: list[tuple] = []
     labels: list[str] = []
     victims: set[str] = set()
@@ -456,10 +457,8 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
     write_trace(corpus.events, os.path.join(out_dir, "events.jsonl"))
     written.append("events.jsonl")
 
-    with open_artifact(os.path.join(out_dir, "labels.csv")) as handle:
-        handle.write("event_index,label\n")
-        for index, label in enumerate(corpus.labels):
-            handle.write(f"{index},{label}\n")
+    labels = (f"{index},{label}" for index, label in enumerate(corpus.labels))
+    _write_lines(os.path.join(out_dir, "labels.csv"), chain(["event_index,label"], labels))
     written.append("labels.csv")
 
     if corpus.baseline:
@@ -486,8 +485,7 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
         "baseline_matched": corpus.baseline_matched,
         "expected_overlap": corpus.expected_overlap,
     }
-    with open_artifact(os.path.join(out_dir, "truth.json")) as handle:
-        handle.write(json.dumps(truth, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out_dir, "truth.json"), truth)
     written.append("truth.json")
     return written
 

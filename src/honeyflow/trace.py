@@ -14,7 +14,7 @@ import operator
 from collections.abc import Sequence
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -209,11 +209,10 @@ def _decode(lines: list[str]) -> tuple[tuple, ...] | None:
 class _Rows:
     """Rows of event values, checked a chunk at a time column by column, to the letter of
     :func:`honeyflow.events.parse_event_line`, then sorted into one :class:`Trace`. Sensors and
-    addresses are coded by first-seen ids; each new address goes through ``check_address`` once.
+    addresses are coded by first-seen ids; each new address goes through ``ipv4_to_int`` once.
     """
 
-    def __init__(self, check_address: Callable[[str], int]) -> None:
-        self.check_address = check_address
+    def __init__(self) -> None:
         self.sensor_ids: dict[str, int] = {}
         self.address_ids: dict[str, int] = {}
         self.values: list[int] = []
@@ -241,7 +240,7 @@ class _Rows:
             sensor_ids[name] = len(sensor_ids)
         for address in [a for a in dict.fromkeys(chain.from_iterable(zip(src_ip, dst_ip))) if a not in address_ids]:
             try:
-                self.values.append(self.check_address(address))
+                self.values.append(ipv4_to_int(address))
             except ValueError:
                 return False
             address_ids[address] = len(address_ids)
@@ -282,16 +281,15 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return table, rank
 
 
-def _read_trace(path: str, check_address: Callable[[str], int]) -> Trace | None:
+def _read_trace(path: str) -> Trace | None:
     """The events of a JSONL trace file in canonical order, or None if the
     file is not UTF-8 or some line is one that
     :func:`honeyflow.events.parse_event_line` rejects.
 
-    ``check_address`` parses an address to its value and raises ValueError
-    for a bad one. The file is split into lines and stripped as the
-    per-line parser does it, then read in chunks, one ``json.loads`` each.
+    The file is split into lines and stripped as the per-line parser does
+    it, then read in chunks, one ``json.loads`` each.
     """
-    rows = _Rows(check_address)
+    rows = _Rows()
     try:
         with open(path, encoding="utf-8") as handle:
             lines = filter(None, map(str.strip, handle))

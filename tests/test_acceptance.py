@@ -5,7 +5,9 @@ shows up as the corresponding FAILED test. Numeric tolerances and runtime
 budgets are pinned in the asserts, not in comments, so they cannot drift.
 """
 
+import hashlib
 import json
+import os
 import random
 import statistics
 import time
@@ -34,8 +36,8 @@ from honeyflow.convergence import (
     stability_trace,
 )
 from honeyflow.detection import PRESETS, AttackThresholds, detect, detect_attacks, victims
-from honeyflow.events import ScannerList
-from honeyflow.evasion import evasion_rows
+from honeyflow.events import ScannerList, write_profiles, write_scanner_list
+from honeyflow.evasion import BUILTIN_PROFILES, evasion_rows
 from honeyflow.flows import assemble
 from honeyflow.sweep import sweep
 from honeyflow.synth import (
@@ -335,40 +337,47 @@ def _dir_bytes(path):
     return {f.name: f.read_bytes() for f in sorted(path.iterdir()) if f.is_file()}
 
 
-def test_c10_cli_runs_are_byte_identical(tmp_path):
-    spec = ScenarioSpec(
-        seed=5,
-        sensors=5,
-        duration_s=2000.0,
-        attacks=(
-            AttackSpec(victim="203.0.113.10", dst_port=123, start=0.0, stop=300.0, rate_pps=0.5),
-            AttackSpec(victim="203.0.113.11", dst_port=53, start=100.0, stop=400.0, rate_pps=0.5),
-        ),
-        scans=(ScanSpec(source="203.0.113.200", ports=(53, 123), start=500.0),),
-        noise_packets=100,
-        baseline_events=10,
-        baseline_overlap=0.2,
-    )
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    write_corpus(synth(spec), str(data_dir))
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec_to_dict(spec)))
-    events = str(data_dir / "events.jsonl")
+C10_SPEC = ScenarioSpec(
+    seed=5,
+    sensors=5,
+    duration_s=2000.0,
+    attacks=(
+        AttackSpec(victim="203.0.113.10", dst_port=123, start=0.0, stop=300.0, rate_pps=0.5),
+        AttackSpec(victim="203.0.113.11", dst_port=53, start=100.0, stop=400.0, rate_pps=0.5),
+    ),
+    scans=(ScanSpec(source="203.0.113.200", ports=(53, 123), start=500.0),),
+    noise_packets=100,
+    baseline_events=10,
+    baseline_overlap=0.2,
+)
 
-    commands = {
+
+def _c10_commands(data_dir, spec_path):
+    """C10's seven subcommands over the corpus ``write_corpus`` wrote into ``data_dir``."""
+    events = os.path.join(data_dir, "events.jsonl")
+    return {
         "detect": ["detect", "--events", events, "--preset", "ccc", "--carpet"],
         "sweep": ["sweep", "--events", events, "--scheme", "ccc",
                   "--timeouts", "60,600,900", "--loads", "1,5,100"],
         "converge": ["converge", "--events", events, "--preset", "ccc",
                      "--n-permutations", "300", "--batch", "100", "--seed", "0"],
         "overlap": ["overlap", "--events", events,
-                    "--baseline", str(data_dir / "baseline.jsonl"), "--preset", "ccc"],
+                    "--baseline", os.path.join(data_dir, "baseline.jsonl"), "--preset", "ccc"],
         "scanners": ["scanners", "--events", events,
-                     "--scanners", str(data_dir / "scanners.txt"), "--preset", "ccc"],
+                     "--scanners", os.path.join(data_dir, "scanners.txt"), "--preset", "ccc"],
         "evade": ["evade", "--load", "1Gbps", "--duration", "300", "--sensors", "8"],
-        "synth": ["synth", "--spec", str(spec_path)],
+        "synth": ["synth", "--spec", spec_path],
     }
+
+
+def test_c10_cli_runs_are_byte_identical(tmp_path):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    write_corpus(synth(C10_SPEC), str(data_dir))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_to_dict(C10_SPEC)))
+
+    commands = _c10_commands(str(data_dir), str(spec_path))
     for name, argv in commands.items():
         first = tmp_path / f"{name}-1"
         second = tmp_path / f"{name}-2"
@@ -379,3 +388,76 @@ def test_c10_cli_runs_are_byte_identical(tmp_path):
         differing = [f for f in a if a[f] != b[f]]
         assert not differing, (name, differing)
     print("\n[C10] PASS all 7 subcommands rerun byte-identical (artifacts + manifests)")
+
+
+# sha256 of every file the pinned runs below write, relative to their working
+# directory. The manifests echo the relative input paths, so the runs start
+# from a fresh directory and name their inputs relative to it. The converge
+# files follow numpy's permutation stream (numpy 2.4.6 when pinned).
+_CLI_SHA256 = {
+    "converge/convergence.csv": "82d6707071ff0ba6f2868066aa4b3c993b7cc0e7bcfba8e4d64a73a94f67e468",
+    "converge/greedy.csv": "4def03a1f949b33f0a625e49dd58f3d21cfcd4c78b79f76e882165a83b93cbb7",
+    "converge/manifest.json": "2799a7314a9d10a96895b8f18741b8c7cbe545b6942e1b2836b1bd82a018d857",
+    "converge/stability.csv": "4c84cae23f49df8bd1ef6c4d4e7f8df06ab3bfca43fdbd3ccf94f48facb68bb7",
+    "data/baseline.jsonl": "924342d1d346c9c7e9cc1040e6dc24ddbb719385e864655d129ba7d2bb2f4144",
+    "data/events.jsonl": "490a5602d19f300adaf55b3283b0fdd654acc7bb99934b2f7b0a7b0849b0d621",
+    "data/labels.csv": "22facfe723780279a5298852382cccb80255141a473b77d662e588015ebc5965",
+    "data/scanners.txt": "a4a22f51a369b649cf8471a21cc9acf03ce6e6887a56a431db56ff7338d12d67",
+    "data/truth.json": "fbec1312777b33df1129897033d8578034a7dfb0eb6e957b64dfc11c372c7ba1",
+    "detect/attacks.jsonl": "185b3495cb68d641c4b78cbf2abc786a6f201fd84eb2c363d0032a1234a50b4c",
+    "detect/manifest.json": "04c0663bdfa417cac4bffd5b428589a25620e0d267edb5555f352128ec52b21b",
+    "detect/victims.csv": "a7b1d4f54704e1fdf85bcca43ed759e885a547001b6299ede4e383213f65edf1",
+    "detect-hpi/attacks.jsonl": "da45924e97b8d35d37aa4467d2d7cff843dab1a3ba3f2f0375a86cf3c700640c",
+    "detect-hpi/manifest.json": "a4e71cc488abc6db90b731b11da4a026956e947ba284b4f5402168dc5bc771ab",
+    "detect-hpi/victims.csv": "a7b1d4f54704e1fdf85bcca43ed759e885a547001b6299ede4e383213f65edf1",
+    "evade/evasion.csv": "799ad62e4ab224277a4c978547f92479dc8e07cbbe11c413c50b5816c12e7677",
+    "evade/manifest.json": "eba513988a2f437a009c038aed036e84ce0ba98b323bcbe6222029bab2997752",
+    "evade-profiles/evasion.csv": "bad82b8a50a587b80f20d9631e9da54a9c52448368c1028f88e8f0359a9f1d12",
+    "evade-profiles/manifest.json": "c1249d3d42b917d7e9b4858974b29d80df947f157d41544e9244a3f88941b2e3",
+    "listed.txt": "dc05baddaf47310c73582e0caf16b10a2f7fbfa028af1e5795bff46d7641a734",
+    "overlap/manifest.json": "9c3debd1d94db8405c8a66bdfbaaf2cc5dc3b8f81d8ef872cfbb18455fe5f4eb",
+    "overlap/overlap.json": "1d2f9ef08a20dd573ef801b3abbb78f64648b4bffaa65c3550f8bfbdca4defd0",
+    "overlap/venn.csv": "2de6e43403861d025a0be0c763b171ca7dca4aed2fb0bb8b282fa293ae7c8c23",
+    "profiles.jsonl": "2d4b39fb7fc14bf8200b07a1702320d767a97f580b3600f0b8afb66afbd20496",
+    "scanners/manifest.json": "c369b1cdb33a6ce1118fd9bb9191866cd4cbf4d1ba2cd7134c84f2919bc3aacd",
+    "scanners/shares.csv": "bce3cdc0a990ccd702a6af3312c085b91969f22eaca93c36727cc337b198be75",
+    "scanners/sources.csv": "2a9c733ff6ec1aced91d0c68d27bc4c803e71e7cde5fc6561f7a27fa51143bb5",
+    "scanners-listed/manifest.json": "08f87b7fa555e97be574663ea9f4b512c3ecfe762aa2665aed417d44f01a0824",
+    "scanners-listed/shares.csv": "49cb19efb7d445cc2ca2766ee7d38553ae208605193efd4edf3f5e47cbe7f3fd",
+    "scanners-listed/sources.csv": "e14cf447852541efb109cd78f8845d8699271219dcc2f64d4754cb8ff8498f42",
+    "spec.json": "9871523336393749081bf20ed3c1d4f11ce6eb26d0d1ce644f66febbfc0c2a4d",
+    "sweep/manifest.json": "bada9c36d48c5a613c297f51b8158db93d7f409996f923266b7aeedff2dbc15b",
+    "sweep/sweep.csv": "464faa36a69a52a5bf3ae2ec1168f12f71e905d7716e7d8388b07fa04df4df79",
+    "synth/baseline.jsonl": "924342d1d346c9c7e9cc1040e6dc24ddbb719385e864655d129ba7d2bb2f4144",
+    "synth/events.jsonl": "490a5602d19f300adaf55b3283b0fdd654acc7bb99934b2f7b0a7b0849b0d621",
+    "synth/labels.csv": "22facfe723780279a5298852382cccb80255141a473b77d662e588015ebc5965",
+    "synth/manifest.json": "2e1669081d26f16e243aaa45c91971fa4d4e1bdbe311593daeae90825b48cf57",
+    "synth/scanners.txt": "a4a22f51a369b649cf8471a21cc9acf03ce6e6887a56a431db56ff7338d12d67",
+    "synth/truth.json": "fbec1312777b33df1129897033d8578034a7dfb0eb6e957b64dfc11c372c7ba1",
+}
+
+
+def test_every_cli_artifact_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("data")
+    write_corpus(synth(C10_SPEC), "data")
+    with open("spec.json", "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(spec_to_dict(C10_SPEC)))
+    write_profiles(BUILTIN_PROFILES, "profiles.jsonl")
+    listed = ScannerList(frozenset({"203.0.113.200", "203.0.113.10", "192.0.2.7", "198.51.100.9"}),
+                         region_label="telescope 10/8")
+    write_scanner_list(listed, "listed.txt")
+    commands = _c10_commands("data", "spec.json")
+    commands["detect-hpi"] = ["detect", "--events", "data/events.jsonl", "--preset", "hpi"]
+    commands["evade-profiles"] = ["evade", "--profiles", "profiles.jsonl", "--load", "10Gbps",
+                                  "--duration", "600", "--sensors", "20"]
+    commands["scanners-listed"] = ["scanners", "--events", "data/events.jsonl", "--scanners", "listed.txt",
+                                   "--preset", "amppot"]
+    for name, argv in commands.items():
+        _run_cli(*argv, "--out", name)
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*")) if path.is_file()
+    }
+    assert written == _CLI_SHA256
+    print(f"\n[C10] PASS {len(written)} CLI artifacts match their pinned sha256")

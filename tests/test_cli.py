@@ -800,3 +800,93 @@ def test_help_cites_preset_sources(capsys):
 def test_version(capsys):
     assert run_cli("--version") == 0
     assert "honeyflow" in capsys.readouterr().out
+
+
+# Every numeric flag, each run with one odd value and the other flags good. "{events}",
+# "{baseline}" and "{scanners}" name the corpus files, "{value}" the drawn value.
+_NUMERIC_FLAG_RUNS = {
+    "--load": ("evade", "--load", "{value}"),
+    "--duration": ("evade", "--duration", "{value}"),
+    "--sensors": ("evade", "--sensors", "{value}"),
+    "--timeouts": ("sweep", "--events", "{events}", "--scheme", "ccc", "--timeouts", "{value}", "--loads", "5"),
+    "--loads": ("sweep", "--events", "{events}", "--scheme", "ccc", "--timeouts", "900", "--loads", "{value}"),
+    "--n-permutations": ("converge", "--events", "{events}", "--preset", "ccc", "--n-permutations", "{value}",
+                         "--batch", "50"),
+    "--batch": ("converge", "--events", "{events}", "--preset", "ccc", "--n-permutations", "100",
+                "--batch", "{value}"),
+    "--slack": ("overlap", "--events", "{events}", "--baseline", "{baseline}", "--preset", "ccc",
+                "--slack", "{value}"),
+    "--idle-timeout": ("detect", "--events", "{events}", "--scheme", "ccc", "--idle-timeout", "{value}",
+                       "--min-packets", "5"),
+    "--min-packets": ("detect", "--events", "{events}", "--scheme", "ccc", "--idle-timeout", "900",
+                      "--min-packets", "{value}"),
+    "--min-dst-ports": ("sweep", "--events", "{events}", "--scheme", "ccc", "--timeouts", "900", "--loads", "5",
+                        "--min-dst-ports", "{value}"),
+    "--min-sensors": ("scanners", "--events", "{events}", "--scanners", "{scanners}", "--scheme", "ccc",
+                      "--idle-timeout", "900", "--min-packets", "5", "--min-sensors", "{value}"),
+    "--carpet-prefix-len": ("detect", "--events", "{events}", "--preset", "ccc", "--carpet",
+                            "--carpet-prefix-len", "{value}"),
+    "--carpet-min-flows": ("detect", "--events", "{events}", "--preset", "ccc", "--carpet",
+                           "--carpet-min-flows", "{value}"),
+}
+_ODD_FLAG_VALUES = ["0", "-1", "1", "5", "0.5", "-0.0", "inf", "-inf", "nan", "Infinity", "1e400", "5e-324",
+                    "9" * 25, "1" + "0" * 400, "", " ", "abc", "0x10", "1_000", "١٢", "5,", ",5", "1,inf",
+                    "60,600,inf", "1Gbps", "infGbps", "nanbps", "-1kbps"]
+_ANY_FLAG_VALUE = st.one_of(
+    st.sampled_from(_ODD_FLAG_VALUES),
+    st.integers(-10**30, 10**30).map(str),
+    st.floats().map(repr),
+)
+# a valid count this large would draw that many permutations; the drawn counts stay small
+_COUNT_FLAG_VALUE = st.one_of(st.sampled_from(_ODD_FLAG_VALUES), st.integers(-2, 400).map(str))
+
+
+@st.composite
+def _numeric_flag_runs(draw) -> tuple[str, ...]:
+    flag = draw(st.sampled_from(sorted(_NUMERIC_FLAG_RUNS)))
+    if flag in ("--n-permutations", "--batch"):
+        value = draw(_COUNT_FLAG_VALUE)
+    elif flag in ("--timeouts", "--loads"):
+        value = ",".join(draw(st.lists(_ANY_FLAG_VALUE, min_size=1, max_size=3)))
+    else:
+        value = draw(_ANY_FLAG_VALUE)
+    return tuple(value if arg == "{value}" else arg for arg in _NUMERIC_FLAG_RUNS[flag])
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_numeric_flag_runs())
+@example(argv=_NUMERIC_FLAG_RUNS["--idle-timeout"][:-3] + ("inf", "--min-packets", "5"))
+@example(argv=_NUMERIC_FLAG_RUNS["--timeouts"][:-3] + ("600,inf", "--loads", "5"))
+@example(argv=_NUMERIC_FLAG_RUNS["--slack"][:-1] + ("inf",))
+@example(argv=_NUMERIC_FLAG_RUNS["--min-packets"][:-1] + ("1" + "0" * 23,))
+@example(argv=_NUMERIC_FLAG_RUNS["--carpet-min-flows"][:-1] + ("1" + "0" * 24,))
+def test_numeric_flags_exit_0_1_or_2_with_one_error_line(corpus_dir, argv):
+    files = {"{events}": "events.jsonl", "{baseline}": "baseline.jsonl", "{scanners}": "scanners.txt"}
+    argv = [str(corpus_dir / files[arg]) if arg in files else arg for arg in argv]
+    with tempfile.TemporaryDirectory() as scratch:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*argv, "--out", scratch)
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:  # argparse: the usage, then one error line
+        assert re.fullmatch(rf"usage: [^\n]+(\n [^\n]*)*\nhoneyflow {argv[0]}: error: [^\n]+\n", err)
+    else:
+        assert re.fullmatch("honeyflow: error: [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_NUMERIC_FLAG_RUNS["--idle-timeout"][:-3] + ("inf", "--min-packets", "5"), "idle_timeout must be finite: inf"),
+    (_NUMERIC_FLAG_RUNS["--timeouts"][:-3] + ("600,inf", "--loads", "5"), "idle_timeout must be finite: inf"),
+    (_NUMERIC_FLAG_RUNS["--slack"][:-1] + ("inf",), "slack_s must be finite: inf"),
+])
+def test_infinite_timeout_or_slack_exits_2(tmp_path, corpus_dir, capsys, argv, message):
+    # an infinite idle timeout would never split a flow and echo as no JSON number in manifest.json;
+    # an infinite slack would widen every baseline record over all time
+    files = {"{events}": "events.jsonl", "{baseline}": "baseline.jsonl"}
+    argv = [str(corpus_dir / files[arg]) if arg in files else arg for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {message}\n"
+    assert os.listdir(tmp_path) == []

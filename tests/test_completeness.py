@@ -77,6 +77,9 @@ def test_match_window_is_closed_and_slack_widens():
         for fn, inputs in ((match_baseline, attacks), (upper_bound, [])):
             with pytest.raises(ValueError, match=f"^slack_s must be >= 0: {bad}$"):
                 fn(inputs, [near], slack_s=bad)
+    for fn, inputs in ((match_baseline, attacks), (upper_bound, [])):
+        with pytest.raises(ValueError, match="^slack_s must be finite: inf$"):
+            fn(inputs, [near], slack_s=math.inf)
 
 
 def test_prefix_victims_match_by_containment():

@@ -60,6 +60,8 @@ def test_threshold_validation():
     ):
         with pytest.raises(ValueError):
             AttackThresholds(name="bad", **kwargs)
+    with pytest.raises(ValueError, match="^idle_timeout must be finite: inf$"):
+        AttackThresholds(name="bad", idle_timeout=float("inf"), min_packets=5)
 
 
 def test_load_comparison_boundaries():

@@ -285,7 +285,7 @@ def test_first_bad_line_wins_over_a_bad_byte(tmp_path):
 def test_load_trace_fallback_only_diagnoses(tmp_path, monkeypatch):
     path = tmp_path / "events.jsonl"
     write_trace([sample_event()], str(path))
-    monkeypatch.setattr(trace_module, "_read_trace", lambda path, check_address: None)
+    monkeypatch.setattr(trace_module, "_read_trace", lambda path: None)
     with pytest.raises(AssertionError, match="events.jsonl: the chunked reader rejected"):
         load_trace(str(path))
 
@@ -294,7 +294,7 @@ def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
     path = tmp_path / "events.jsonl"
     write_trace([sample_event(ts=1.0), sample_event(ts=2.0), sample_event(ts=3.0)], str(path))
     calls = []
-    monkeypatch.setattr("honeyflow.events.ipv4_to_int", lambda addr: calls.append(addr) or 0)
+    monkeypatch.setattr("honeyflow.trace.ipv4_to_int", lambda addr: calls.append(addr) or 0)
     monkeypatch.setattr(PacketEvent, "__post_init__", lambda self: calls.append(self))
     first, second, third = load_trace(str(path))
     assert calls == ["198.51.100.7", "203.0.113.1"]  # each distinct address once
