@@ -48,9 +48,18 @@ from .detection import (
     write_attack_report,
 )
 from .evasion import BUILTIN_PROFILES, evasion_rows, write_evasion_csv
-from .events import FormatError, _write_json, _write_lines, load_baseline, load_profiles, load_scanner_list, load_trace
+from .events import (
+    FormatError,
+    _write_artifacts,
+    _write_json,
+    _write_lines,
+    load_baseline,
+    load_profiles,
+    load_scanner_list,
+    load_trace,
+)
 from .sweep import sweep, write_heatmap_csv
-from .synth import spec_from_dict, spec_to_dict, synth, write_corpus
+from .synth import _corpus_artifacts, spec_from_dict, spec_to_dict, synth
 
 OUT_ENV = "HONEYFLOW_OUT"
 
@@ -81,15 +90,6 @@ def _preset_epilog() -> str:
     return "\n".join(lines)
 
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out",
-        "-o",
-        default=None,
-        help=f"output directory (default: ${OUT_ENV} or the current directory)",
-    )
-
-
 def _resolve_out(args) -> str:
     out = args.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out, exist_ok=True)
@@ -104,25 +104,37 @@ def _write_manifest(out: str, subcommand: str, config: dict, outputs: list[str])
         "config": config,
         "outputs": sorted(outputs),
     }
-    _write_json(os.path.join(out, "manifest.json"), payload)
-
-
-def _add_detector_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="published pipeline configuration")
-    parser.add_argument(
-        "--scheme",
-        choices=sorted(PRESETS),
-        help="flow identifier borrowed from this preset, for custom thresholds",
-    )
-    parser.add_argument("--idle-timeout", type=float, help="flow idle timeout in seconds")
-    parser.add_argument("--min-packets", type=int, help="packet-load threshold")
-    parser.add_argument("--min-dst-ports", type=int, default=None, help="distinct ports per attack event")
-    parser.add_argument("--min-sensors", type=int, default=None, help="distinct sensors per attack event")
-    parser.add_argument("--comparison", choices=[">=", ">"], default=None, help="packet-load comparison")
+    _write_artifacts(out, {"manifest.json": partial(_write_json, value=payload)})
 
 
 # the flags of the extra conditions; unset, each keeps its AttackThresholds default
 _CONDITIONS = ("min_dst_ports", "min_sensors", "comparison")
+
+
+def _trace_command(commands, name: str, summary: str, func, detector: bool = True) -> _Parser:
+    """A subcommand that reads ``--events``, with the preset epilog, ``--scheme`` and the extra
+    conditions. With ``detector`` it also takes ``--preset`` or custom thresholds, and ``--scheme``
+    is optional."""
+    command = commands.add_parser(
+        name, help=summary, epilog=_preset_epilog(), formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    command.add_argument("--events", required=True, help="JSONL packet trace")
+    if detector:
+        command.add_argument("--preset", choices=sorted(PRESETS), help="published pipeline configuration")
+        command.add_argument(
+            "--scheme",
+            choices=sorted(PRESETS),
+            help="flow identifier borrowed from this preset, for custom thresholds",
+        )
+        command.add_argument("--idle-timeout", type=float, help="flow idle timeout in seconds")
+        command.add_argument("--min-packets", type=int, help="packet-load threshold")
+    else:
+        command.add_argument("--scheme", required=True, choices=sorted(PRESETS))
+    command.add_argument("--min-dst-ports", type=int, help="distinct ports per attack event")
+    command.add_argument("--min-sensors", type=int, help="distinct sensors per attack event")
+    command.add_argument("--comparison", choices=[">=", ">"], help="packet-load comparison")
+    command.set_defaults(func=func)
+    return command
 
 
 def _thresholds(args, name: str, idle_timeout: float, min_packets: int) -> AttackThresholds:
@@ -197,13 +209,21 @@ def _read(reader, path: str):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-# -- subcommands ----------------------------------------------------------------
+def _echo(args, *names: str) -> dict:
+    """The config echo of the flags ``names``, under their own names."""
+    return {name: getattr(args, name) for name in names}
 
-def _cmd_detect(parser: _Parser, args) -> int:
-    detector, config = _resolve_detector(parser, args)
-    out = _resolve_out(args)
-    events = _read(load_trace, args.events)
-    attacks = detect_attacks(events, detector)
+
+# -- subcommands ----------------------------------------------------------------
+#
+# A handler reads its inputs and decides, then returns its config echo and its
+# artifacts as {file name: writer(path)}. It writes nothing itself: main()
+# resolves the detector and --out, writes the artifacts and the manifest. A
+# handler names what it calls by its module-global name at call time, so a
+# rebinding of that name (tracing, tests) reaches it.
+
+def _cmd_detect(args, detector: DetectionPreset):
+    attacks = detect_attacks(_read(load_trace, args.events), detector)
     if args.carpet:
         attacks = attacks + detect_carpet_bombing(
             attacks,
@@ -211,117 +231,63 @@ def _cmd_detect(parser: _Parser, args) -> int:
             min_flows=args.carpet_min_flows,
             window_s=detector.thresholds.idle_timeout,
         )
-    write_attack_report(attacks, detector.name, os.path.join(out, "attacks.jsonl"))
     flagged = sorted(victims(attacks), key=lambda v: v.sort_key())
     rows = (f"{victim.identity},{victim.granularity}" for victim in flagged)
-    _write_lines(os.path.join(out, "victims.csv"), chain(["victim,granularity"], rows))
-    config.update(
-        {
-            "events": args.events,
-            "carpet": bool(args.carpet),
-            "carpet_prefix_len": args.carpet_prefix_len,
-            "carpet_min_flows": args.carpet_min_flows,
-        }
-    )
-    _write_manifest(out, "detect", config, ["attacks.jsonl", "victims.csv"])
-    return 0
-
-
-def _cmd_sweep(parser: _Parser, args) -> int:
-    out = _resolve_out(args)
-    events = _read(load_trace, args.events)
-    scheme = PRESETS[args.scheme].scheme
-    base = _thresholds(args, "sweep", 1.0, 1)
-    grid = sweep(events, scheme, args.timeouts, args.loads, base)
-    write_heatmap_csv(grid, os.path.join(out, "sweep.csv"))
-    config = {
-        "events": args.events,
-        "scheme": args.scheme,
-        "timeouts": args.timeouts,
-        "loads": args.loads,
-        "min_dst_ports": base.min_dst_ports,
-        "min_sensors": base.min_sensors,
-        "comparison": base.comparison,
+    return _echo(args, "events", "carpet", "carpet_prefix_len", "carpet_min_flows"), {
+        "attacks.jsonl": partial(write_attack_report, attacks, detector.name),
+        "victims.csv": partial(_write_lines, lines=chain(["victim,granularity"], rows)),
     }
-    _write_manifest(out, "sweep", config, ["sweep.csv"])
-    return 0
 
 
-def _cmd_converge(parser: _Parser, args) -> int:
-    detector, config = _resolve_detector(parser, args)
-    out = _resolve_out(args)
+def _cmd_sweep(args, detector: None):
     events = _read(load_trace, args.events)
-    attacks = detect_attacks(events, detector)
-    mapping = sensor_victim_map(attacks)
+    base = _thresholds(args, "sweep", 1.0, 1)
+    grid = sweep(events, PRESETS[args.scheme].scheme, args.timeouts, args.loads, base)
+    config = _echo(args, "events", "scheme", "timeouts", "loads") | _echo(base, *_CONDITIONS)
+    return config, {"sweep.csv": partial(write_heatmap_csv, grid)}
+
+
+def _cmd_converge(args, detector: DetectionPreset):
+    mapping = sensor_victim_map(detect_attacks(_read(load_trace, args.events), detector))
     if not mapping:
         raise ValueError(f"{args.events}: {detector.name} detected no attack, so there is nothing to converge")
     curve = greedy_order(mapping, strategy=args.strategy)
     stats, trace = _ensemble_and_trace(mapping, args.n_permutations, args.batch, args.seed)
-    write_greedy_csv(curve, os.path.join(out, "greedy.csv"))
-    write_rank_statistics_csv(stats, os.path.join(out, "convergence.csv"))
-    write_stability_csv(trace, os.path.join(out, "stability.csv"))
-    config.update(
-        {
-            "events": args.events,
-            "strategy": args.strategy,
-            "n_permutations": args.n_permutations,
-            "batch": args.batch,
-            "seed": args.seed,
-        }
-    )
-    _write_manifest(out, "converge", config, ["greedy.csv", "convergence.csv", "stability.csv"])
-    return 0
+    return _echo(args, "events", "strategy", "n_permutations", "batch", "seed"), {
+        "greedy.csv": partial(write_greedy_csv, curve),
+        "convergence.csv": partial(write_rank_statistics_csv, stats),
+        "stability.csv": partial(write_stability_csv, trace),
+    }
 
 
-def _cmd_overlap(parser: _Parser, args) -> int:
-    detector, config = _resolve_detector(parser, args)
-    out = _resolve_out(args)
+def _cmd_overlap(args, detector: DetectionPreset):
     events = _read(load_trace, args.events)
     baseline = _read(load_baseline, args.baseline)
-    attacks = detect_attacks(events, detector)
-    report = overlap_report(attacks, events, baseline, slack_s=args.slack)
-    write_overlap_json(report, os.path.join(out, "overlap.json"))
-    write_venn_csv(report, os.path.join(out, "venn.csv"))
-    config.update({"events": args.events, "baseline": args.baseline, "slack": args.slack})
-    _write_manifest(out, "overlap", config, ["overlap.json", "venn.csv"])
-    return 0
+    report = overlap_report(detect_attacks(events, detector), events, baseline, slack_s=args.slack)
+    return _echo(args, "events", "baseline", "slack"), {
+        "overlap.json": partial(write_overlap_json, report),
+        "venn.csv": partial(write_venn_csv, report),
+    }
 
 
-def _cmd_scanners(parser: _Parser, args) -> int:
-    detector, config = _resolve_detector(parser, args)
-    out = _resolve_out(args)
+def _cmd_scanners(args, detector: DetectionPreset):
     events = _read(load_trace, args.events)
     scanners = _read(load_scanner_list, args.scanners)
     classification = classify_sources(scanners, events, detector.scheme, detector.thresholds)
-    write_source_classes_csv(classification, os.path.join(out, "sources.csv"))
-    write_class_shares_csv(classification, os.path.join(out, "shares.csv"))
-    config.update({"events": args.events, "scanners": args.scanners})
-    _write_manifest(out, "scanners", config, ["sources.csv", "shares.csv"])
-    return 0
-
-
-def _cmd_evade(parser: _Parser, args) -> int:
-    out = _resolve_out(args)
-    profiles = BUILTIN_PROFILES if args.profiles == "builtin" else tuple(_read(load_profiles, args.profiles))
-    rows = evasion_rows(
-        profiles,
-        attack_load_bps=args.load,
-        duration_s=args.duration,
-        platform_sensor_count=args.sensors,
-    )
-    write_evasion_csv(rows, os.path.join(out, "evasion.csv"))
-    config = {
-        "profiles": args.profiles,
-        "attack_load_bps": args.load,
-        "duration_s": args.duration,
-        "platform_sensor_count": args.sensors,
+    return _echo(args, "events", "scanners"), {
+        "sources.csv": partial(write_source_classes_csv, classification),
+        "shares.csv": partial(write_class_shares_csv, classification),
     }
-    _write_manifest(out, "evade", config, ["evasion.csv"])
-    return 0
 
 
-def _cmd_synth(parser: _Parser, args) -> int:
-    out = _resolve_out(args)
+def _cmd_evade(args, detector: None):
+    profiles = BUILTIN_PROFILES if args.profiles == "builtin" else tuple(_read(load_profiles, args.profiles))
+    scenario = {"attack_load_bps": args.load, "duration_s": args.duration, "platform_sensor_count": args.sensors}
+    rows = evasion_rows(profiles, **scenario)
+    return {"profiles": args.profiles, **scenario}, {"evasion.csv": partial(write_evasion_csv, rows)}
+
+
+def _cmd_synth(args, detector: None):
     try:
         with open(args.spec, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -330,10 +296,7 @@ def _cmd_synth(parser: _Parser, args) -> int:
     spec = spec_from_dict(data)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    corpus = synth(spec)
-    outputs = write_corpus(corpus, out)
-    _write_manifest(out, "synth", {"spec": spec_to_dict(spec)}, outputs)
-    return 0
+    return {"spec": spec_to_dict(spec)}, _corpus_artifacts(synth(spec))
 
 
 def build_parser() -> _Parser:
@@ -341,45 +304,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    detect_p = commands.add_parser(
-        "detect",
-        help="run one detector over a trace",
-        epilog=_preset_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    detect_p.add_argument("--events", required=True, help="JSONL packet trace")
-    _add_detector_args(detect_p)
+    detect_p = _trace_command(commands, "detect", "run one detector over a trace", _cmd_detect)
     detect_p.add_argument("--permissive", action="store_true", help="classify every flow as an attack")
     detect_p.add_argument("--carpet", action="store_true", help="append carpet-bombing prefix events")
     detect_p.add_argument("--carpet-prefix-len", type=int, default=24)
     detect_p.add_argument("--carpet-min-flows", type=int, default=16)
-    _add_out(detect_p)
-    detect_p.set_defaults(func=_cmd_detect)
 
-    sweep_p = commands.add_parser(
-        "sweep",
-        help="detector outcomes over a (timeout, load) grid",
-        epilog=_preset_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sweep_p.add_argument("--events", required=True)
-    sweep_p.add_argument("--scheme", required=True, choices=sorted(PRESETS))
+    sweep_p = _trace_command(commands, "sweep", "detector outcomes over a (timeout, load) grid", _cmd_sweep,
+                             detector=False)
     sweep_p.add_argument("--timeouts", required=True, type=_csv_floats, help="e.g. 60,600,900,3600")
     sweep_p.add_argument("--loads", required=True, type=_csv_ints, help="e.g. 1,5,20,100")
-    sweep_p.add_argument("--min-dst-ports", type=int, default=None)
-    sweep_p.add_argument("--min-sensors", type=int, default=None)
-    sweep_p.add_argument("--comparison", choices=[">=", ">"], default=None)
-    _add_out(sweep_p)
-    sweep_p.set_defaults(func=_cmd_sweep)
 
-    converge_p = commands.add_parser(
-        "converge",
-        help="sensor-count convergence statistics",
-        epilog=_preset_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    converge_p.add_argument("--events", required=True)
-    _add_detector_args(converge_p)
+    converge_p = _trace_command(commands, "converge", "sensor-count convergence statistics", _cmd_converge)
     converge_p.add_argument(
         "--strategy",
         choices=[GREEDY_MAX_COVERAGE, GREEDY_STATIC_SORT],
@@ -388,59 +324,53 @@ def build_parser() -> _Parser:
     converge_p.add_argument("--n-permutations", type=int, default=30_000, help="at most 10000000")
     converge_p.add_argument("--batch", type=int, default=100)
     converge_p.add_argument("--seed", type=int, default=0)
-    _add_out(converge_p)
-    converge_p.set_defaults(func=_cmd_converge)
 
-    overlap_p = commands.add_parser(
-        "overlap",
-        help="match detected attacks against a baseline feed",
-        epilog=_preset_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    overlap_p.add_argument("--events", required=True)
+    overlap_p = _trace_command(commands, "overlap", "match detected attacks against a baseline feed", _cmd_overlap)
     overlap_p.add_argument("--baseline", required=True, help="JSONL baseline attack records")
-    _add_detector_args(overlap_p)
     overlap_p.add_argument("--slack", type=float, default=0.0, help="time-window slack in seconds")
-    _add_out(overlap_p)
-    overlap_p.set_defaults(func=_cmd_overlap)
 
-    scanners_p = commands.add_parser(
-        "scanners",
-        help="classify telescope-listed sources against a detector",
-        epilog=_preset_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    scanners_p.add_argument("--events", required=True)
+    scanners_p = _trace_command(commands, "scanners", "classify telescope-listed sources against a detector",
+                                _cmd_scanners)
     scanners_p.add_argument("--scanners", required=True, help="one address per line")
-    _add_detector_args(scanners_p)
-    _add_out(scanners_p)
-    scanners_p.set_defaults(func=_cmd_scanners)
 
     evade_p = commands.add_parser("evade", help="attacker evasion arithmetic per protocol")
     evade_p.add_argument("--load", type=_bitrate, default=1e9, help="attack bandwidth, e.g. 1Gbps")
     evade_p.add_argument("--duration", type=float, default=300.0, help="attack duration in seconds")
     evade_p.add_argument("--profiles", default="builtin", help="'builtin' or a JSONL profile file")
     evade_p.add_argument("--sensors", type=int, default=8, help="platform sensor count")
-    _add_out(evade_p)
     evade_p.set_defaults(func=_cmd_evade)
 
     synth_p = commands.add_parser("synth", help="generate a labeled synthetic corpus")
     synth_p.add_argument("--spec", required=True, help="JSON scenario description")
     synth_p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    _add_out(synth_p)
     synth_p.set_defaults(func=_cmd_synth)
 
+    for command in commands.choices.values():
+        command.add_argument(
+            "--out",
+            "-o",
+            default=None,
+            help=f"output directory (default: ${OUT_ENV} or the current directory)",
+        )
+        command.set_defaults(parser=command)  # detector flag errors are reported by the subcommand
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """The one run path: parse, resolve the detector, then --out, run the handler, write its artifacts
+    and the manifest listing them. A usage error exits 1 before --out is created; a data error exits 2
+    before any artifact is written."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        # only the detector subcommands have --preset
+        detector, config = _resolve_detector(args.parser, args) if "preset" in args else (None, {})
+        out = _resolve_out(args)
+        echo, artifacts = args.func(args, detector)
+        _write_manifest(out, args.command, config | echo, _write_artifacts(out, artifacts))
     except (ValueError, OSError) as exc:
         print(f"honeyflow: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

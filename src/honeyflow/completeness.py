@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -329,21 +329,8 @@ def overlap_report(
 
 def report_to_dict(report: OverlapReport) -> dict:
     return {
-        "per_protocol": {
-            str(port): {
-                "baseline_total": rec.baseline_total,
-                "matched_by_detector": rec.matched_by_detector,
-                "matched_upper_bound": rec.matched_upper_bound,
-                "honeypot_victims": rec.honeypot_victims,
-                "honeypot_only": rec.honeypot_only,
-            }
-            for port, rec in sorted(report.per_protocol.items())
-        },
-        "venn": {
-            "honeypot_only": report.venn.honeypot_only,
-            "overlap": report.venn.overlap,
-            "baseline_only": report.venn.baseline_only,
-        },
+        "per_protocol": {str(port): asdict(rec) for port, rec in sorted(report.per_protocol.items())},
+        "venn": asdict(report.venn),
         "baseline_with_ports": report.baseline_with_ports,
         "matched_with_ports": report.matched_with_ports,
         "upper_with_ports": report.upper_with_ports,
@@ -362,9 +349,7 @@ def write_overlap_json(report: OverlapReport, path: str) -> None:
 
 
 def write_venn_csv(report: OverlapReport, path: str) -> None:
-    venn = report.venn
-    rows = [["honeypot_only", venn.honeypot_only], ["overlap", venn.overlap], ["baseline_only", venn.baseline_only]]
-    _write_csv(path, ["set", "count"], rows)
+    _write_csv(path, ["set", "count"], asdict(report.venn).items())
 
 
 # -- scanner classification ---------------------------------------------------

@@ -11,7 +11,9 @@ than silently mangled.
 
 Every artifact is written by one of three helpers here: ``\n``-terminated
 text lines (JSONL records among them, laid out by one compact encoder), CSV
-with a header row, or an indented JSON document.
+with a header row, or an indented JSON document. A set of artifacts is a
+mapping from file name to writer, and :func:`_write_artifacts` is the one
+place that joins those names to a directory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TextIO
 
 if TYPE_CHECKING:
     from .trace import Trace
@@ -98,6 +100,13 @@ def _write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> No
 def _write_json(path: str, value) -> None:
     """Write ``value`` as a JSON document, two-space indent and sorted keys, to a new artifact at ``path``."""
     _write_lines(path, [json.dumps(value, indent=2, sort_keys=True)])
+
+
+def _write_artifacts(out_dir: str, artifacts: Mapping[str, Callable[[str], None]]) -> list[str]:
+    """Call each writer with the path of its file name in ``out_dir``, in order; returns the names written."""
+    for name, write in artifacts.items():
+        write(os.path.join(out_dir, name))
+    return list(artifacts)
 
 
 # -- IPv4 helpers -------------------------------------------------------------
@@ -461,6 +470,9 @@ class ScannerList:
     region_label: str = ""
 
     def __post_init__(self) -> None:
+        # written as a "# " comment line, a label with a line break would list what follows it
+        if "\n" in self.region_label or "\r" in self.region_label:
+            raise ValueError(f"region_label must be one line: {self.region_label!r}")
         for source in self.sources:
             ipv4_to_int(source)
 

@@ -18,9 +18,9 @@ complete, reproducible description of its corpus.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import partial
 from itertools import chain
 from typing import Sequence
 
@@ -29,6 +29,7 @@ from .events import (
     PacketEvent,
     ScannerList,
     _is_finite,
+    _write_artifacts,
     _write_json,
     _write_lines,
     int_to_ipv4,
@@ -451,26 +452,17 @@ def synth_sensor_victim_map(
     return {sid: set(rng.sample(universe, size)) for sid, size in zip(ids, sizes)}
 
 
-def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
-    """Write the corpus artifacts; returns the file names written."""
-    written = []
-    write_trace(corpus.events, os.path.join(out_dir, "events.jsonl"))
-    written.append("events.jsonl")
-
+def _corpus_artifacts(corpus: LabeledCorpus) -> dict:
+    """The corpus artifacts, file name -> writer; the baseline and scanner list only when planted."""
     labels = (f"{index},{label}" for index, label in enumerate(corpus.labels))
-    _write_lines(os.path.join(out_dir, "labels.csv"), chain(["event_index,label"], labels))
-    written.append("labels.csv")
-
+    artifacts = {
+        "events.jsonl": partial(write_trace, corpus.events),
+        "labels.csv": partial(_write_lines, lines=chain(["event_index,label"], labels)),
+    }
     if corpus.baseline:
-        write_baseline(corpus.baseline, os.path.join(out_dir, "baseline.jsonl"))
-        written.append("baseline.jsonl")
+        artifacts["baseline.jsonl"] = partial(write_baseline, corpus.baseline)
     if corpus.scanner_sources:
-        write_scanner_list(
-            ScannerList(sources=frozenset(corpus.scanner_sources)),
-            os.path.join(out_dir, "scanners.txt"),
-        )
-        written.append("scanners.txt")
-
+        artifacts["scanners.txt"] = partial(write_scanner_list, ScannerList(sources=frozenset(corpus.scanner_sources)))
     truth = {
         "n_events": len(corpus.events),
         "sensors": list(corpus.sensor_ids),
@@ -485,9 +477,13 @@ def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
         "baseline_matched": corpus.baseline_matched,
         "expected_overlap": corpus.expected_overlap,
     }
-    _write_json(os.path.join(out_dir, "truth.json"), truth)
-    written.append("truth.json")
-    return written
+    artifacts["truth.json"] = partial(_write_json, value=truth)
+    return artifacts
+
+
+def write_corpus(corpus: LabeledCorpus, out_dir: str) -> list[str]:
+    """Write the corpus artifacts; returns the file names written."""
+    return _write_artifacts(out_dir, _corpus_artifacts(corpus))
 
 
 # -- spec (de)serialization for the CLI ---------------------------------------

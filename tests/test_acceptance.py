@@ -455,6 +455,10 @@ def test_every_cli_artifact_is_pinned(tmp_path, monkeypatch):
                                    "--preset", "amppot"]
     for name, argv in commands.items():
         _run_cli(*argv, "--out", name)
+        # the manifest lists exactly the files the run wrote
+        with open(os.path.join(name, "manifest.json"), encoding="utf-8") as handle:
+            outputs = json.load(handle)["outputs"]
+        assert set(outputs) == set(os.listdir(name)) - {"manifest.json"}, name
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.rglob("*")) if path.is_file()

@@ -408,6 +408,34 @@ def test_usage_errors_exit_1(argv, capsys):
     capsys.readouterr()
 
 
+# a detector-flag error of each detector subcommand, found after argparse has parsed the flags
+_DETECTOR_FLAG_ERRORS = {
+    "detect": ("detect", "--events", "x.jsonl"),
+    "converge": ("converge", "--events", "x.jsonl", "--scheme", "ccc", "--idle-timeout", "900"),
+    "overlap": ("overlap", "--events", "x.jsonl", "--baseline", "b.jsonl", "--preset", "ccc", "--min-packets", "9"),
+    "scanners": ("scanners", "--events", "x.jsonl", "--scanners", "s.txt", "--preset", "ccc", "--comparison", ">"),
+}
+
+
+@pytest.mark.parametrize("argv", _DETECTOR_FLAG_ERRORS.values(), ids=_DETECTOR_FLAG_ERRORS)
+def test_detector_flag_errors_are_the_subcommands_usage_errors(argv, capsys):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"usage: honeyflow {argv[0]} [^\n]+(\n [^\n]*)*\nhoneyflow {argv[0]}: error: [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    *_DETECTOR_FLAG_ERRORS.values(),
+    ("detect", "--events", "x.jsonl", "--preset", "nope"),
+    ("overlap", "--events", "x.jsonl", "--preset", "ccc"),  # missing --baseline
+])
+def test_usage_errors_create_no_out(tmp_path, argv, capsys):
+    out = tmp_path / "new"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    capsys.readouterr()
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     assert run_cli("detect", "--events", str(tmp_path / "missing.jsonl"),
                    "--preset", "ccc", "--out", str(tmp_path)) == 2

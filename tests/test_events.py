@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 from helpers import oracle_load_trace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honeyflow.events import (
@@ -414,6 +414,28 @@ def test_scanner_list_parsing(tmp_path):
     out = tmp_path / "out.txt"
     write_scanner_list(ScannerList(frozenset({"10.0.0.2", "2.0.0.1"}), region_label="eu"), str(out))
     assert out.read_text() == "# eu\n2.0.0.1\n10.0.0.2\n"
+
+
+_LINE_BREAKS_AND_LOOKALIKES = "\n\r\x0b\x0c\x1c\x85\u2028# ."
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    label=st.text(st.one_of(st.sampled_from(_LINE_BREAKS_AND_LOOKALIKES), st.characters()), max_size=16),
+    sources=st.sets(st.sampled_from(["1.2.3.4", "10.0.0.2", "203.0.113.7"])),
+)
+@example(label="telescope\n198.51.100.66", sources=set())
+@example(label="t\r198.51.100.67", sources={"1.2.3.4"})
+def test_scanner_list_label_lists_no_source(label, sources):
+    try:
+        scanners = ScannerList(frozenset(sources), region_label=label)
+    except ValueError as exc:
+        assert "region_label" in str(exc) and ("\n" in label or "\r" in label)
+        return
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "scanners.txt")
+        write_scanner_list(scanners, path)
+        assert load_scanner_list(path).sources == scanners.sources
 
 
 def test_profiles_round_trip_and_validation(tmp_path):
