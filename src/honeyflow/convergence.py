@@ -199,6 +199,8 @@ class _CountSample:
         n_sensors, n_words = self.words.shape
         self.hist = np.zeros((n_sensors, self.union_size + 1), dtype=np.int64)
         self.size = 0
+        # per rank, the lowest and highest count drawn: the band of its histogram that is not 0
+        self._band: tuple[np.ndarray, np.ndarray] | None = None
         self._rng = np.random.default_rng(seed)
         self._chunk = max(1, _CHUNK_BYTES // (self.words.nbytes + 8 * n_sensors))
         self._covered = np.empty(self._chunk * self.words.size, dtype=np.uint64)
@@ -224,6 +226,10 @@ class _CountSample:
             counts = self._counts[: n_sensors * k].reshape(n_sensors, k)
             np.add.reduce(bits, axis=2, dtype=np.int32, out=counts)  # ndarray.sum took 0.45 MB more peak RSS
             self.hist += np.bincount((counts + offsets).ravel(), minlength=self.hist.size).reshape(self.hist.shape)
+            low, high = counts.min(axis=1), counts.max(axis=1)
+            if self._band is not None:
+                low, high = np.minimum(low, self._band[0]), np.maximum(high, self._band[1])
+            self._band = low, high
         self.size += n
 
     def shares(self, *quantiles: float) -> list[np.ndarray]:
@@ -231,18 +237,24 @@ class _CountSample:
         ``np.percentile``'s linear method gives them; 1.0 when the union is empty."""
         n, union = self.size, self.union_size
         rows = np.arange(len(self.hist))
-        # the j-th smallest count (from 0) is how many cumulative counts are <= j; row r shifted
-        # by r * (n + 1) keeps the flattened rows sorted, so one search reads every rank
-        cumulative = self.hist.cumsum(axis=1)
-        cumulative += rows[:, None] * (n + 1)
+        # without tracked draws (a histogram set by hand) the band is the whole row
+        low, high = self._band or (np.zeros(len(rows), np.intp), np.full(len(rows), union))
+        # The j-th smallest count (from 0) is how many cumulative counts are <= j: every count below a
+        # rank's band, and those of its band up to j. Each band sums to n, so laid end to end rank r's
+        # cumulative counts lie in [r * n, (r + 1) * n], and needles r * n + j with j < n let one search
+        # read every rank.
+        cumulative = np.concatenate([row[a : b + 1] for row, a, b in zip(self.hist, low.tolist(), high.tolist())])
+        np.cumsum(cumulative, out=cumulative)
+        widths = high - low + 1
+        band_start = np.cumsum(widths) - widths
         virtual = [n * q + (1 - q) - 1 for q in quantiles]
         below = [math.floor(v) for v in virtual]
-        needles = np.array([(j, j + 1) for j in below])[:, :, None] + rows * (n + 1)
-        counts = np.searchsorted(cumulative.ravel(), needles, side="right") - rows * (union + 1)
+        # j + 1 past the largest (j = n - 1, where t is 0) reads the largest, as numpy's clipped read does
+        needles = np.minimum([(j, j + 1) for j in below], n - 1)[:, :, None] + rows * n
+        counts = np.searchsorted(cumulative, needles, side="right") - band_start + low
         out = []
         for v, j, pair in zip(virtual, below, counts):
             t = v - j
-            # at j = n, past the largest, t is 0 and b drops out as in numpy's clipped read
             a, b = (c / union if union else np.ones(len(c)) for c in pair)
             # numpy's _lerp works from b when t >= 0.5
             out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)

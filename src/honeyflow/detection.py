@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import PacketEvent, _compact_json, _write_lines, int_to_ipv4, ipv4_to_int
-from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit
+from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
 from .trace import Trace, _string_codes, as_trace
 
 __all__ = [
@@ -277,10 +277,10 @@ def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThr
     group = None
     if thresholds.min_sensors > 1 and split.scheme.scope == PER_SENSOR:
         group = _group([
-            (split.codes(attr)[starts], len(split.labels(attr)))
+            (split.codes(attr, starts), len(split.labels(attr)))
             for attr in split.key_attrs if attr not in ("sensor", "dst_ip")
         ])
-    return _FlowColumns(split.sorted, np.diff(starts, append=len(split.ts)), split.key_attrs, group)
+    return _FlowColumns(split.sorted, np.diff(starts, append=len(split.sorted)), split.key_attrs, group)
 
 
 def _flow_columns(flows: Sequence[Flow], clustered: bool = False) -> _FlowColumns:
@@ -451,7 +451,7 @@ def _attack_clusters(
     flow columns, members, heads) as :func:`_attack_runs` gives them, or
     None for a trace with no flows."""
     thresholds = preset.thresholds
-    split = _KeyedSplit(trace, preset.scheme)
+    split = _split_of(trace, preset.scheme)
     starts = split.flow_starts(thresholds.idle_timeout)
     if not len(starts):
         return None
@@ -467,8 +467,9 @@ def detect_attacks(
     """Assemble with the preset's scheme and detect with its thresholds.
 
     Equal to :func:`detect` on :func:`honeyflow.flows.assemble`, errors and
-    flows' ``packets.rows`` (positions in ``events``) included, but the trace
-    is keyed once and only the flows of attacking clusters are built.
+    flows' ``packets.rows`` (positions in ``events``) included, but only the
+    flows of attacking clusters are built. The trace is keyed once per trace
+    and scheme, as :func:`honeyflow.flows.assemble` describes.
     """
     clusters = _attack_clusters(as_trace(events), preset)
     if clusters is None:

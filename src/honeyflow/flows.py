@@ -7,11 +7,13 @@ sensor-identifying dst address are ignored unless explicitly selected).
 Assembly keys and sorts the trace once per scheme, then splits each key's
 packet sequence wherever the gap between consecutive packets exceeds the
 idle timeout; a threshold sweep splits that one keyed order at each of its
-timeouts.
+timeouts. A trace keeps the keyed order of every scheme it was keyed under,
+so each later call under an equal scheme only splits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -19,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .events import PacketEvent, int_to_ipv4
-from .trace import Trace, _ranked, as_trace
+from .trace import Trace, as_trace
 
 __all__ = [
     "PER_SENSOR",
@@ -120,11 +122,13 @@ class Flow(NamedTuple):
 
     @property
     def first_ts(self) -> float:
-        return self.packets[0].ts
+        packets = self.packets
+        return packets._ts(0) if isinstance(packets, Trace) else packets[0].ts
 
     @property
     def last_ts(self) -> float:
-        return self.packets[-1].ts
+        packets = self.packets
+        return packets._ts(-1) if isinstance(packets, Trace) else packets[-1].ts
 
     @property
     def packet_count(self) -> int:
@@ -141,18 +145,44 @@ class Flow(NamedTuple):
 
 # PacketEvent attributes behind the FlowKey fields, position by position
 _KEY_ATTRS = ("sensor", "src_ip", "dst_ip", "src_port", "dst_port")
+# the Trace column behind each of them
+_COLUMN = dict(zip(_KEY_ATTRS, ("sensor", "src", "dst", "src_port", "dst_port")))
 # a port is its own code
 _PORTS = range(65536)
 # flows built per block of their start positions
 _BLOCK = 1024
+# The rank of each octet's decimal string among those of 0..255. A dotted quad whose
+# octets are replaced by their ranks, most significant first, orders as its string
+# does, since "." and "/" sort below every digit.
+_OCTET_RANK = np.empty(256, np.uint32)
+_OCTET_RANK[sorted(range(256), key=str)] = np.arange(256, dtype=np.uint32)
 
 
-def _prefix_codes(trace: Trace, plen: int) -> tuple[np.ndarray, list[str]]:
-    """The sources of ``trace`` coded by the rank of their /plen CIDR string, and the sorted strings."""
-    mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
-    nets, net_of_address = np.unique(trace.address_values & mask, return_inverse=True)
-    cidrs, rank = _ranked({f"{int_to_ipv4(net)}/{plen}": i for i, net in enumerate(nets.tolist())})
-    return rank[net_of_address][trace.src], cidrs
+class _Cidrs(Sequence):
+    """The /``plen`` CIDR strings of network values ``nets``, each built when it is read."""
+
+    def __init__(self, nets: np.ndarray, plen: int) -> None:
+        self.nets, self.plen = nets, plen
+
+    def __len__(self) -> int:
+        return len(self.nets)
+
+    def __getitem__(self, index: int) -> str:
+        return f"{int_to_ipv4(int(self.nets[index]))}/{self.plen}"
+
+
+def _prefix_codes(address_values: np.ndarray, plen: int) -> tuple[np.ndarray, _Cidrs]:
+    """Each address coded by the rank of its /plen CIDR string, and the distinct strings in order."""
+    nets = address_values & ((0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF)
+    as_string = np.zeros(len(nets), np.uint32)
+    for shift in (24, 16, 8, 0):
+        as_string |= _OCTET_RANK[(nets >> shift) & 0xFF] << shift
+    order = np.argsort(as_string, kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.diff(as_string[order]) != 0
+    codes = np.empty(len(order), np.int32)
+    codes[order] = np.cumsum(first) - 1
+    return codes, _Cidrs(nets[order[first]], plen)
 
 
 class _KeyedSplit:
@@ -163,75 +193,74 @@ class _KeyedSplit:
     ordering by :meth:`FlowKey.sort_key`. The trace's own codes are such
     ranks; a prefix-keyed source is ranked over the trace's address table.
     One stable sort by (key, ts) puts each key's packets together in stream
-    order, kept as one selection of the trace, ``sorted``; the key-change
-    mask and the inter-packet gaps of that order are computed once. A flow
-    is then a run of ``sorted`` that starts at a key change or at a gap over
+    order, kept as one selection of the trace, ``sorted``, and ``gap`` holds
+    each packet's gap to the previous one of its key, +inf where a key
+    begins. A flow is then a run of ``sorted`` that starts at a gap over
     the idle timeout, so every timeout splits the same arrays and nothing is
-    keyed again.
+    keyed again. Codes and timestamps are read through ``sorted`` only at
+    the positions a caller asks for, so a split holds about 16 bytes per
+    event, plus a code per address for a prefix-keyed source.
+
+    A split holds no reference to the trace it keys: the trace keeps its
+    splits (:func:`_split_of`), and they go when it goes.
     """
 
     def __init__(self, trace: Trace, scheme: FlowScheme) -> None:
-        self.trace = trace
         self.scheme = scheme
         ts = trace.ts
         regressed = np.flatnonzero(ts[1:] < ts[:-1])
-        # position of the first event whose ts is below its predecessor's, or 0
-        self._regressed_at = int(regressed[0]) + 1 if regressed.size else 0
+        # the first ts below its predecessor's, and that predecessor's
+        self._regression = (float(ts[regressed[0] + 1]), float(ts[regressed[0]])) if regressed.size else None
         used = (scheme.scope == PER_SENSOR, True, scheme.use_dst_addr, scheme.use_src_port, scheme.use_dst_port)
         self.key_attrs = tuple(attr for attr, on in zip(_KEY_ATTRS, used) if on)
-        key_columns = [self._rank(attr) for attr in self.key_attrs]
-        self.order = np.lexsort([ts] + [codes for codes, _ in reversed(key_columns)])
-        self.sorted = trace.take(self.order)
-        self.ts = ts[self.order]
-        self._columns = {
-            attr: (codes[self.order], labels) for attr, (codes, labels) in zip(self.key_attrs, key_columns)
-        }
-        self.key_change = np.zeros(len(trace), dtype=bool)
-        self.key_change[:1] = True
-        for codes, _ in self._columns.values():
-            self.key_change[1:] |= codes[1:] != codes[:-1]
-        self.gap = np.diff(self.ts, prepend=self.ts[:1])
-        # key number of each position; keys are numbered in sort_key order
-        self.key_index = np.cumsum(self.key_change) - 1
+        self._labels = {"sensor": trace.sensors, "src_ip": trace.addresses, "dst_ip": trace.addresses}
+        self._net = None  # per address, the code of its /plen source when the source is a prefix
+        key_columns = []
+        for attr in self.key_attrs:
+            codes = getattr(trace, _COLUMN[attr])
+            if attr == "src_ip" and scheme.use_src_prefix:
+                self._net, self._labels[attr] = _prefix_codes(trace.address_values, scheme.src_prefix_len)
+                codes = self._net[codes]
+            key_columns.append(codes)
+        order = np.lexsort([ts] + key_columns[::-1])
+        self.sorted = trace.take(order)
+        self.gap = np.diff(ts[order], prepend=-np.inf)  # the first packet begins a key
+        for codes in key_columns:
+            codes = codes[order]
+            self.gap[1:][codes[1:] != codes[:-1]] = np.inf
+        self.gap.flags.writeable = False
 
-    def _rank(self, attr: str) -> tuple[np.ndarray, Sequence]:
-        trace = self.trace
-        if attr == "sensor":
-            return trace.sensor, trace.sensors
-        if attr == "src_ip":
-            if self.scheme.use_src_prefix:
-                return _prefix_codes(trace, self.scheme.src_prefix_len)
-            return trace.src, trace.addresses
-        if attr == "dst_ip":
-            return trace.dst, trace.addresses
-        return getattr(trace, attr), _PORTS
-
-    def codes(self, attr: str) -> np.ndarray:
-        """Rank codes of one key attribute (of the keyed source for ``src_ip``), in sorted order."""
-        return self._columns[attr][0]
+    def codes(self, attr: str, positions: np.ndarray) -> np.ndarray:
+        """Rank codes of one key attribute (of the keyed source for ``src_ip``) at sorted ``positions``."""
+        codes = getattr(self.sorted.take(positions), _COLUMN[attr])
+        return self._net[codes] if attr == "src_ip" and self._net is not None else codes
 
     def labels(self, attr: str) -> Sequence:
         """The values that :meth:`codes` numbers: ``labels[code]`` is a code's value."""
-        return self._columns[attr][1]
+        return self._labels.get(attr, _PORTS)
+
+    def key_numbers(self, positions: np.ndarray) -> np.ndarray:
+        """The number of the key at each sorted position; keys are numbered in sort_key order."""
+        return np.searchsorted(np.flatnonzero(self.gap == np.inf), positions, side="right") - 1
 
     def flow_starts(self, idle_timeout: float) -> np.ndarray:
         """Positions in sorted order where a flow begins under ``idle_timeout``."""
         if not idle_timeout > 0:
             raise ValueError(f"idle_timeout must be positive: {idle_timeout}")
-        if self._regressed_at:
-            event, prev = self.trace[self._regressed_at], self.trace[self._regressed_at - 1]
+        if self._regression is not None:
             raise UnsortedTraceError(
-                f"event at ts={event.ts} arrived after ts={prev.ts}; assemble requires a time-ordered stream"
+                "event at ts={} arrived after ts={}; assemble requires a time-ordered stream".format(*self._regression)
             )
-        return np.flatnonzero(self.key_change | (self.gap > idle_timeout))
+        # a gap between non-negative finite stamps is finite: only a key change exceeds the largest float
+        return np.flatnonzero(self.gap > min(idle_timeout, sys.float_info.max))
 
     def _flow_keys(self, positions: np.ndarray) -> list[FlowKey]:
         """The FlowKey of the event at each sorted position."""
         fields = []
         for attr in _KEY_ATTRS:
             if attr in self.key_attrs:
-                codes, labels = self._columns[attr]
-                fields.append([labels[code] for code in codes[positions].tolist()])
+                labels = self.labels(attr)
+                fields.append([labels[code] for code in self.codes(attr, positions).tolist()])
             else:
                 fields.append(repeat(None))
         return list(map(FlowKey, *fields))
@@ -242,16 +271,21 @@ class _KeyedSplit:
         Flows of one key share one FlowKey. A flow's packets are a
         selection of the trace, read only when used.
         """
-        key_of = self.key_index[starts]
+        key_of = self.key_numbers(starts)
         somewhere = dict(zip(key_of.tolist(), starts.tolist()))  # a sorted position of each distinct key
         keys = dict(zip(somewhere, self._flow_keys(np.fromiter(somewhere.values(), np.intp, len(somewhere)))))
         del somewhere
-        flows, rows = [], self.sorted
+        flows = []
         for block in range(0, len(starts), _BLOCK):  # whole int lists would outweigh the flows being built
             window = slice(block, block + _BLOCK)
-            runs = zip(key_of[window].tolist(), starts[window].tolist(), stops[window].tolist())
-            flows += [Flow(keys[k], rows[a:b]) for k, a, b in runs]
+            packets = self.sorted._selections(starts[window].tolist(), stops[window].tolist())
+            flows += map(Flow, [keys[k] for k in key_of[window].tolist()], packets)
         return flows
+
+
+def _split_of(trace: Trace, scheme: FlowScheme) -> _KeyedSplit:
+    """The split of ``trace`` for ``scheme``, made on first use and kept by the trace for equal schemes."""
+    return trace._kept(scheme, lambda trace: _KeyedSplit(trace, scheme))
 
 
 def assemble(
@@ -270,17 +304,20 @@ def assemble(
     Every event lands in exactly one flow, so the flows' ``packets.rows``
     partition the positions of ``events``. Flows come back sorted by (first_ts, key).
 
-    The stream is keyed and sorted by (key, ts) once; flows are the runs of
-    that order split at key changes and at gaps over the timeout.
-    :func:`honeyflow.sweep.sweep` splits the same keyed order at every
-    timeout of its grid.
+    The stream is keyed and sorted by (key, ts) once per trace and scheme;
+    flows are the runs of that order split at key changes and at gaps over
+    the timeout. A :class:`~honeyflow.trace.Trace` keeps its keyed order for
+    each scheme it was keyed under, so later assemblies, sweeps and
+    detections under an equal scheme split the same order
+    (:func:`honeyflow.sweep.sweep` at every timeout of its grid); any other
+    sequence of events is keyed on each call.
 
     Raises :class:`UnsortedTraceError` naming the first timestamp that
     regresses; silently mis-assembling an unsorted trace would corrupt every
     count downstream.
     """
-    split = _KeyedSplit(as_trace(events), scheme)
+    split = _split_of(as_trace(events), scheme)
     starts = split.flow_starts(idle_timeout)
-    stops = np.append(starts[1:], len(split.ts))
-    canonical = np.lexsort((split.key_index[starts], split.ts[starts]))
+    stops = np.append(starts[1:], len(split.sorted))
+    canonical = np.lexsort((split.key_numbers(starts), split.sorted.take(starts).ts))
     return split.flows(starts[canonical], stops[canonical])

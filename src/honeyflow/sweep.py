@@ -1,11 +1,11 @@
 """Threshold-space sweeps: detector outcomes over a (timeout, load) grid.
 
 Each grid cell holds the attack-flow count and unique-victim count the
-detector produces at that (idle timeout, packet load) combination. The
-trace is keyed and sorted once per call; each timeout splits that keyed
-order into flow ranges, and the detector's own threshold rule decides
-every cell of the row from those ranges, without building a Flow or an
-AttackEvent. A cell is therefore the size of what
+detector produces at that (idle timeout, packet load) combination. A
+trace is keyed and sorted once per flow scheme and keeps that keyed order
+for later calls; each timeout splits it into flow ranges, and the
+detector's own threshold rule decides every cell of the row from those
+ranges, without building a Flow or an AttackEvent. A cell is therefore the size of what
 :func:`honeyflow.detection.detect_attacks` returns at that cell.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .detection import AttackThresholds, _attack_runs, _split_columns
 from .events import PacketEvent, _write_csv
-from .flows import FlowScheme, _KeyedSplit
+from .flows import FlowScheme, _split_of
 from .trace import as_trace
 
 __all__ = ["HeatmapGrid", "sweep", "write_heatmap_csv"]
@@ -63,13 +63,18 @@ def sweep(
     single-flow); victims counts distinct victims. Each cell equals
     :func:`honeyflow.detection.detect_attacks` at that cell, errors
     included, but is counted without building flows or attack events.
+
+    ``events`` is keyed once per trace and scheme: a
+    :class:`~honeyflow.trace.Trace` keeps its keyed order, which later
+    sweeps, assemblies and detections under an equal scheme reuse; any
+    other sequence of events is keyed on each call.
     """
     _check_grid(timeout_grid, "timeout")
     _check_grid(load_grid, "load")
     if base_thresholds is None:
         base_thresholds = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1)
 
-    split = _KeyedSplit(as_trace(events), scheme)
+    split = _split_of(as_trace(events), scheme)
     attack_flows = np.zeros((len(timeout_grid), len(load_grid)), dtype=np.int64)
     victim_counts = np.zeros_like(attack_flows)
     for i, timeout in enumerate(timeout_grid):
@@ -77,7 +82,7 @@ def sweep(
         cells = [replace(base_thresholds, idle_timeout=timeout, min_packets=load) for load in load_grid]
         if not len(starts):
             continue
-        victim = split.codes("src_ip")[starts]
+        victim = split.codes("src_ip", starts)
         for j, (members, heads) in enumerate(_attack_runs(_split_columns(split, starts, base_thresholds), cells)):
             attack_flows[i, j] = len(members)
             victim_counts[i, j] = np.count_nonzero(np.bincount(victim[members[heads]]))

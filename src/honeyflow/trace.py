@@ -37,6 +37,12 @@ class _Columns(NamedTuple):
     address_values: np.ndarray
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, no longer writable; its views inherit that."""
+    array.flags.writeable = False
+    return array
+
+
 def _column(name: str, doc: str) -> property:
     index = _Columns._fields.index(name)
 
@@ -45,6 +51,15 @@ def _column(name: str, doc: str) -> property:
         return column if self._rows is None else column[self._rows]
 
     return property(read, doc=doc)
+
+
+def _frozen_columns(*fields) -> _Columns:
+    """The columns of a new trace, every array made read-only."""
+    columns = _Columns(*fields)
+    for field in columns:
+        if isinstance(field, np.ndarray):
+            _read_only(field)
+    return columns
 
 
 def _string_codes(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
@@ -70,11 +85,19 @@ class Trace(Sequence):
     copying a column until it is read; the flows of :mod:`honeyflow.flows`
     hold such selections, and their :attr:`rows` are the positions of their
     packets in the trace they were cut from.
+
+    The arrays a trace holds are read-only: the columns, ``address_values``
+    and every :attr:`rows`, so whatever a trace derives from them stays
+    true. A selection's columns are gathered anew at each read, into copies
+    that belong to the caller. Flow keying (:mod:`honeyflow.flows`) keeps one keyed
+    order of the trace per flow scheme, built on first use and dropped with
+    the trace.
     """
 
-    __slots__ = ("_columns", "_rows")
+    __slots__ = ("_columns", "_rows", "_memo")
 
     def __init__(self, columns: _Columns, rows: np.ndarray | None = None) -> None:
+        # _memo stays unset, at no cost per selection, until something is kept for this trace
         self._columns = columns
         self._rows = rows
 
@@ -87,7 +110,7 @@ class Trace(Sequence):
         addresses, (src, dst) = _string_codes(
             list(map(attrgetter("src_ip"), events)), list(map(attrgetter("dst_ip"), events))
         )
-        return cls(_Columns(
+        return cls(_frozen_columns(
             np.fromiter(map(attrgetter("ts"), events), np.float64, n),
             sensor,
             src,
@@ -103,7 +126,7 @@ class Trace(Sequence):
     def concat(cls, parts: Sequence[Sequence[PacketEvent]]) -> "Trace":
         """The events of ``parts`` one after the other; rows of one trace stay rows of it."""
         if parts and all(isinstance(part, Trace) and part._columns is parts[0]._columns for part in parts):
-            return cls(parts[0]._columns, np.concatenate([part.rows for part in parts]))
+            return cls(parts[0]._columns, _read_only(np.concatenate([part.rows for part in parts])))
         return cls.from_events(chain.from_iterable(parts))
 
     ts = _column("ts", "Timestamps, float64.")
@@ -131,21 +154,47 @@ class Trace(Sequence):
     @property
     def rows(self) -> np.ndarray:
         """The positions of these events in the underlying trace: for a trace of a list, in that list."""
-        return np.arange(len(self._columns.ts)) if self._rows is None else self._rows
+        return _read_only(np.arange(len(self._columns.ts))) if self._rows is None else self._rows
 
     def take(self, rows: np.ndarray) -> "Trace":
         """The events at positions ``rows`` of this trace, in that order."""
-        return Trace(self._columns, rows if self._rows is None else self._rows[rows])
+        # a view of the caller's array, which stays writable for the caller
+        return Trace(self._columns, _read_only(np.asarray(rows).view() if self._rows is None else self._rows[rows]))
+
+    def _selections(self, starts: list[int], stops: list[int]) -> list["Trace"]:
+        """``self[a:b]`` for each ``a, b`` of ``starts, stops``, built straight from row views."""
+        columns, rows = self._columns, self.rows
+        return [Trace(columns, rows[a:b]) for a, b in zip(starts, stops)]
+
+    def _kept(self, key, make):
+        """``make(self)``, made on first use per ``key`` and kept as long as this trace."""
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = self._memo = {}
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = make(self)
+        return value
 
     def __len__(self) -> int:
         return len(self._columns.ts) if self._rows is None else len(self._rows)
 
+    def _row(self, index: int) -> int:
+        """The row of the underlying trace at position ``index`` of this one."""
+        row = range(len(self))[index]
+        return row if self._rows is None else int(self._rows[row])
+
+    def _ts(self, index: int) -> float:
+        """``self[index].ts``, read without building the event."""
+        return float(self._columns.ts[self._row(index)])
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(self._columns, np.arange(*index.indices(len(self))) if self._rows is None else self._rows[index])
-        row = range(len(self))[index]
-        if self._rows is not None:
-            row = int(self._rows[row])
+            if self._rows is None:
+                return Trace(self._columns, _read_only(np.arange(*index.indices(len(self)))))
+            return Trace(self._columns, self._rows[index])  # a view, read-only as its base is
+        row = self._row(index)
         c = self._columns
         return _event(
             float(c.ts[row]), c.sensors[c.sensor[row]], c.addresses[c.src[row]], int(c.src_port[row]),
@@ -270,7 +319,7 @@ class _Rows:
             columns[i] = column[order]
         address_values = np.empty(len(addresses), np.uint32)
         address_values[address_rank] = self.values
-        return Trace(_Columns(*columns, sensors, addresses, address_values)), order
+        return Trace(_frozen_columns(*columns, sensors, addresses, address_values)), order
 
 
 def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:

@@ -332,6 +332,40 @@ def test_histogram_percentiles_equal_numpy(union, data):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    union=st.sampled_from([0, 1, 3, 7, 64, 2000]),
+    data=st.data(),
+)
+def test_banded_percentiles_equal_numpy(union, data):
+    # the same as above with each rank's band set to its lowest and highest count, as
+    # extend tracks it, so only the band's cumulative counts are summed
+    n = data.draw(st.integers(1, 30), label="n")
+    ranks = data.draw(st.integers(1, 4), label="ranks")
+    counts = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, union), min_size=ranks, max_size=ranks),
+                           min_size=n, max_size=n), label="counts")
+    )
+    sample = _CountSample({f"s{i}": {0} for i in range(ranks)}, seed=0)
+    sample.union_size, sample.size = union, n
+    sample.hist = np.stack([np.bincount(column, minlength=union + 1) for column in counts.T])
+    sample._band = counts.min(axis=0), counts.max(axis=0)
+    shares = counts / union if union else np.ones(counts.shape)
+    expected = [shares.min(axis=0), *np.percentile(shares, [25, 50, 75], axis=0), shares.max(axis=0)]
+    for got, want in zip(sample.shares(0.0, 0.25, 0.5, 0.75, 1.0), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batches", [[1], [3, 1, 40], [100, 100]])
+def test_extend_tracks_each_ranks_band(batches):
+    sample = _CountSample(synth_sensor_victim_map(12, 300, 0.165, seed=3), seed=4)
+    for n in batches:
+        sample.extend(n)
+        low, high = sample._band
+        for row, a, b in zip(sample.hist, low.tolist(), high.tolist()):
+            assert row[a] > 0 and row[b] > 0 and row[:a].sum() == row[b + 1:].sum() == 0
+
+
 def test_sample_equals_oracle_on_platform_map():
     # 50 sensors and a 2000-victim union: 32 words per sensor and several chunks per batch
     mapping = synth_sensor_victim_map(50, 2000, 0.165, seed=0)

@@ -15,6 +15,7 @@ from helpers import (
 )
 from honeyflow import PacketEvent
 from honeyflow.flows import (
+    Flow,
     PER_PLATFORM,
     PER_SENSOR,
     FlowKey,
@@ -23,6 +24,7 @@ from honeyflow.flows import (
     assemble,
     flow_key,
 )
+from honeyflow.trace import Trace
 
 
 def ev(ts, sensor="s1", src="198.51.100.7", sport=51515, dst="192.0.2.1", dport=123):
@@ -145,6 +147,20 @@ def test_flow_derived_views():
     assert flow.dst_ports == frozenset({53, 123})
 
 
+def test_flow_span_of_a_trace_selection_and_of_a_list():
+    events = make_random_trace(random.Random(8), 500)
+    for flow in assemble(events, oracle_schemes()[0], 300.0):
+        for packets in (flow.packets, list(flow.packets), tuple(flow.packets[::-1])[::-1]):
+            same = Flow(flow.key, packets)
+            assert (same.first_ts, same.last_ts) == (packets[0].ts, packets[-1].ts)
+            assert type(same.first_ts) is float
+    for empty in ([], Trace.from_events(events)[:0]):
+        with pytest.raises(IndexError):
+            Flow(flow.key, empty).first_ts
+        with pytest.raises(IndexError):
+            Flow(flow.key, empty).last_ts
+
+
 def test_flows_come_back_ordered():
     rng = random.Random(5)
     events = make_random_trace(rng, 2000)
@@ -214,7 +230,7 @@ def _streams(draw):
 @given(
     events=_streams(),
     scheme=st.sampled_from(oracle_schemes() + _PREFIX_EDGES),
-    timeout=st.sampled_from((0.5, 1.0, 2.5, 1e9, 0.0, -1.0)),
+    timeout=st.sampled_from((0.5, 1.0, 2.5, 1e9, float("inf"), 0.0, -1.0)),
 )
 def test_assemble_equals_stream_order_oracle(events, scheme, timeout):
     engine = outcome(assemble, events, scheme, timeout)
