@@ -282,12 +282,7 @@ def permutation_ensemble(
         RankStatistics with min / q1 / median / q3 / max of the coverage
         share at every rank.
     """
-    _check_mapping(mapping)
-    _check_count("n_permutations", n_permutations)
-    _check_seed(seed)
-    sample = _CountSample(mapping, seed)
-    sample.extend(n_permutations)
-    return sample.statistics()
+    return _ensemble_and_trace(mapping, n_permutations, n_permutations, seed)[0]
 
 
 @dataclass(frozen=True)

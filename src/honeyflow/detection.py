@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import PacketEvent, _compact_json, _write_lines, int_to_ipv4, ipv4_to_int
+from .events import PacketEvent, _cidr, _compact_json, _prefix_mask, _write_lines, ipv4_to_int
 from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
 from .trace import Trace, _string_codes, as_trace
 
@@ -264,22 +264,12 @@ class _FlowColumns:
         return self.trace.take(_positions(begins, begins + self.sizes[members]))
 
 
-def _group(fields: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Per flow, the codes of ``fields`` (codes, code count) in mixed radix: < 2**63 below 2**31 addresses."""
-    group = np.zeros(len(fields[0][0]), dtype=np.int64)
-    for codes, radix in fields:
-        group = group * radix + codes
-    return group
-
-
 def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds) -> _FlowColumns:
     """The flows beginning at ``starts`` of a keyed split, one timeout's worth."""
     group = None
     if thresholds.min_sensors > 1 and split.scheme.scope == PER_SENSOR:
-        group = _group([
-            (split.codes(attr, starts), len(split.labels(attr)))
-            for attr in split.key_attrs if attr not in ("sensor", "dst_ip")
-        ])
+        attrs = [attr for attr in split.key_attrs if attr not in ("sensor", "dst_ip")]
+        group = np.ravel_multi_index([split.codes(a, starts) for a in attrs], [len(split.labels(a)) for a in attrs])
     return _FlowColumns(split.sorted, np.diff(starts, append=len(split.sorted)), split.key_attrs, group)
 
 
@@ -289,7 +279,7 @@ def _flow_columns(flows: Sequence[Flow], clustered: bool = False) -> _FlowColumn
     group = None
     if clustered:
         ranked = [_string_codes([getattr(f.key, field) for f in flows]) for field in ("src", "src_port", "dst_port")]
-        group = _group([(codes, len(labels)) for labels, (codes,) in ranked])
+        group = np.ravel_multi_index([codes for _, (codes,) in ranked], [len(labels) for labels, _ in ranked])
     keyed = [attr for attr, value in zip(_KEY_ATTRS, flows[0].key) if value is not None]
     return _FlowColumns(Trace.concat(runs), np.fromiter(map(len, runs), np.int64, len(runs)), keyed, group)
 
@@ -507,7 +497,7 @@ def detect_carpet_bombing(
     if window_s is not None and not window_s > 0:
         raise ValueError(f"window_s must be positive or None: {window_s}")
 
-    mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
+    mask = _prefix_mask(prefix_len)
     flows: list[Flow] = []
     nets: list[int] = []
     for event in attacks:
@@ -541,7 +531,7 @@ def detect_carpet_bombing(
         chosen = (first <= start + window_s) & (last >= start)
     members = order[chosen]
     heads = np.flatnonzero(np.diff(run[chosen], prepend=-1))
-    carpets = [Victim(f"{int_to_ipv4(n)}/{prefix_len}", GRANULARITY_PREFIX) for n in net[chosen][heads].tolist()]
+    carpets = [Victim(_cidr(n, mask), GRANULARITY_PREFIX) for n in net[chosen][heads].tolist()]
     return _attack_events(columns, members, heads, [flows[i] for i in members.tolist()], carpets)
 
 

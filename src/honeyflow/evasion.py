@@ -130,8 +130,8 @@ class DetectionMatrix:
         return self[preset_name].detected
 
 
-# The four flag columns of the headline comparison.
-_DEFAULT_MATRIX_PRESETS = ("amppotmod", "ccc", "newkid-mono", "hpi")
+# The four flag columns of the headline comparison, each with the preset it flags.
+_FLAG_COLUMNS = {"amppotmod": "amppotmod", "ccc": "ccc", "newkid": "newkid-mono", "hpi": "hpi"}
 
 
 def detection_matrix(
@@ -148,7 +148,7 @@ def detection_matrix(
     scenario.
     """
     if presets is None:
-        presets = tuple(PRESETS[name] for name in _DEFAULT_MATRIX_PRESETS)
+        presets = tuple(PRESETS[name] for name in _FLAG_COLUMNS.values())
     per_amplifier = requests_per_amplifier(scenario)
 
     cells = []
@@ -204,10 +204,7 @@ def evasion_rows(
                 "reqs_attack": reqs,
                 "reqs_attack_millions": round(reqs / 1e6, 1),
                 "reqs_amplifier": requests_per_amplifier(scenario),
-                "amppotmod": matrix.detected("amppotmod"),
-                "ccc": matrix.detected("ccc"),
-                "newkid": matrix.detected("newkid-mono"),
-                "hpi": matrix.detected("hpi"),
+                **{column: matrix.detected(preset) for column, preset in _FLAG_COLUMNS.items()},
             }
         )
     return rows
@@ -220,8 +217,7 @@ def _number(value: float) -> str:
 
 def write_evasion_csv(rows: Sequence[dict], path: str) -> None:
     header = [
-        "port", "protocol", "request_bytes", "factor", "amplifiers", "reqs_attack", "reqs_amplifier",
-        "amppotmod", "ccc", "newkid", "hpi",
+        "port", "protocol", "request_bytes", "factor", "amplifiers", "reqs_attack", "reqs_amplifier", *_FLAG_COLUMNS,
     ]
     cells = (
         [
@@ -232,10 +228,7 @@ def write_evasion_csv(rows: Sequence[dict], path: str) -> None:
             row["amplifiers"],
             f"{row['reqs_attack_millions']:.1f}M",
             row["reqs_amplifier"],
-            int(row["amppotmod"]),
-            int(row["ccc"]),
-            int(row["newkid"]),
-            int(row["hpi"]),
+            *(int(row[column]) for column in _FLAG_COLUMNS),
         ]
         for row in rows
     )

@@ -157,8 +157,13 @@ def prefix_net_mask(prefix: str) -> tuple[int, int]:
     plen = int(length)
     if plen > 32:
         raise ValueError(f"prefix length out of range in {prefix!r}")
-    mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    mask = _prefix_mask(plen)
     return ipv4_to_int(addr) & mask, mask
+
+
+def _prefix_mask(plen: int) -> int:
+    """The netmask of a /``plen`` prefix as a 32-bit integer."""
+    return (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
 
 
 def _cidr(net: int, mask: int) -> str:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import PacketEvent, int_to_ipv4
+from .events import PacketEvent, _cidr, _prefix_mask
 from .trace import Trace, as_trace
 
 __all__ = [
@@ -168,12 +168,12 @@ class _Cidrs(Sequence):
         return len(self.nets)
 
     def __getitem__(self, index: int) -> str:
-        return f"{int_to_ipv4(int(self.nets[index]))}/{self.plen}"
+        return _cidr(int(self.nets[index]), _prefix_mask(self.plen))
 
 
 def _prefix_codes(address_values: np.ndarray, plen: int) -> tuple[np.ndarray, _Cidrs]:
     """Each address coded by the rank of its /plen CIDR string, and the distinct strings in order."""
-    nets = address_values & ((0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF)
+    nets = address_values & _prefix_mask(plen)
     as_string = np.zeros(len(nets), np.uint32)
     for shift in (24, 16, 8, 0):
         as_string |= _OCTET_RANK[(nets >> shift) & 0xFF] << shift
@@ -223,10 +223,12 @@ class _KeyedSplit:
                 codes = self._net[codes]
             key_columns.append(codes)
         order = np.lexsort([ts] + key_columns[::-1])
+        del ts, key_columns, codes
         self.sorted = trace.take(order)
-        self.gap = np.diff(ts[order], prepend=-np.inf)  # the first packet begins a key
-        for codes in key_columns:
-            codes = codes[order]
+        del order
+        self.gap = np.diff(self.sorted.ts, prepend=-np.inf)  # the first packet begins a key
+        for attr in self.key_attrs:
+            codes = self.codes(attr, slice(None))
             self.gap[1:][codes[1:] != codes[:-1]] = np.inf
         self.gap.flags.writeable = False
 

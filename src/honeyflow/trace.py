@@ -82,9 +82,10 @@ class Trace(Sequence):
     A trace is a sequence of :class:`PacketEvent` that builds an event only
     when it is read, by indexing or iterating, and it equals any sequence of
     equal events. :meth:`take` and slicing select rows of a trace without
-    copying a column until it is read; the flows of :mod:`honeyflow.flows`
-    hold such selections, and their :attr:`rows` are the positions of their
-    packets in the trace they were cut from.
+    copying a column until it is read, by one rule for a loaded trace and a
+    selection alike: positions index as numpy indexes an array. The flows of
+    :mod:`honeyflow.flows` hold such selections, and their :attr:`rows` are
+    the positions of their packets in the trace they were cut from.
 
     The arrays a trace holds are read-only: the columns, ``address_values``
     and every :attr:`rows`, so whatever a trace derives from them stays
@@ -156,10 +157,11 @@ class Trace(Sequence):
         """The positions of these events in the underlying trace: for a trace of a list, in that list."""
         return _read_only(np.arange(len(self._columns.ts))) if self._rows is None else self._rows
 
-    def take(self, rows: np.ndarray) -> "Trace":
-        """The events at positions ``rows`` of this trace, in that order."""
-        # a view of the caller's array, which stays writable for the caller
-        return Trace(self._columns, _read_only(np.asarray(rows).view() if self._rows is None else self._rows[rows]))
+    def take(self, rows) -> "Trace":
+        """The events at positions ``rows`` of this trace, in that order. ``rows`` indexes the positions
+        as numpy indexes an array: int arrays and lists (negatives count from the end), boolean masks
+        and slices of any step; a position out of range raises :class:`IndexError` here."""
+        return Trace(self._columns, _read_only(self.rows[rows]))
 
     def _selections(self, starts: list[int], stops: list[int]) -> list["Trace"]:
         """``self[a:b]`` for each ``a, b`` of ``starts, stops``, built straight from row views."""
@@ -191,9 +193,7 @@ class Trace(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            if self._rows is None:
-                return Trace(self._columns, _read_only(np.arange(*index.indices(len(self)))))
-            return Trace(self._columns, self._rows[index])  # a view, read-only as its base is
+            return self.take(index)
         row = self._row(index)
         c = self._columns
         return _event(

@@ -99,6 +99,47 @@ def test_arrays_a_trace_holds_are_read_only():
             array[:1] = 0
 
 
+@st.composite
+def _selectors(draw, n):
+    """Positions of an n-event trace as numpy takes them, and the positions they select (None: out of range)."""
+    kind = draw(st.sampled_from(("array", "list", "mask", "slice")))
+    if kind == "slice":
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        index = slice(draw(bound), draw(bound), draw(st.none() | st.integers(-3, 3).filter(bool)))
+        return index, list(range(n))[index]
+    if kind == "mask":
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return np.array(mask, dtype=bool), [i for i, on in enumerate(mask) if on]
+    positions = draw(st.lists(st.integers(-n - 2, n + 1), max_size=8))
+    selected = None if any(not -n <= i < n for i in positions) else [i % n for i in positions]
+    return (np.array(positions, np.intp) if kind == "array" else positions), selected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), seed=st.integers(0, 3))
+def test_a_loaded_trace_and_a_selection_take_rows_by_one_rule(data, n, seed):
+    events = make_random_trace(random.Random(seed), n)
+    loaded = Trace.from_events(events)
+    index, selected = data.draw(_selectors(n))
+    for trace in (loaded, loaded[:]):
+        if selected is None:
+            with pytest.raises(IndexError):
+                trace.take(index)
+            continue
+        takes = [trace.take(index)] + ([trace[index]] if isinstance(index, slice) else [])
+        for taken in takes:
+            assert taken.rows.tolist() == selected
+            assert list(taken) == [events[i] for i in selected]
+            assert len(taken) == len(list(taken)) == len(selected)
+            for array in (taken.rows, taken.address_values):
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+        if isinstance(index, np.ndarray) and len(index):
+            index[0] = ~index[0]  # the caller's array stays writable, and no selection reads it
+            assert all(taken.rows.tolist() == selected for taken in takes)
+            index[0] = ~index[0]
+
+
 def test_a_split_goes_with_its_trace():
     # no reference cycle: the last reference going frees the splits without the cyclic collector
     trace = _trace(500)
