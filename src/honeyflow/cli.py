@@ -216,14 +216,14 @@ def _echo(args, *names: str) -> dict:
 
 # -- subcommands ----------------------------------------------------------------
 #
-# A handler reads its inputs and decides, then returns its config echo and its
-# artifacts as {file name: writer(path)}. It writes nothing itself: main()
-# resolves the detector and --out, writes the artifacts and the manifest. A
-# handler names what it calls by its module-global name at call time, so a
-# rebinding of that name (tracing, tests) reaches it.
+# A handler reads its other inputs and decides, then returns its config echo and
+# its artifacts as {file name: writer(path)}. It writes nothing itself: main()
+# resolves the detector and --out, reads --events, writes the artifacts and the
+# manifest. main() and the handlers name what they call by its module-global
+# name at call time, so a rebinding of that name (tracing, tests) reaches it.
 
-def _cmd_detect(args, detector: DetectionPreset):
-    attacks = detect_attacks(_read(load_trace, args.events), detector)
+def _cmd_detect(args, detector: DetectionPreset, events):
+    attacks = detect_attacks(events, detector)
     if args.carpet:
         attacks = attacks + detect_carpet_bombing(
             attacks,
@@ -239,16 +239,15 @@ def _cmd_detect(args, detector: DetectionPreset):
     }
 
 
-def _cmd_sweep(args, detector: None):
-    events = _read(load_trace, args.events)
+def _cmd_sweep(args, detector: None, events):
     base = _thresholds(args, "sweep", 1.0, 1)
     grid = sweep(events, PRESETS[args.scheme].scheme, args.timeouts, args.loads, base)
     config = _echo(args, "events", "scheme", "timeouts", "loads") | _echo(base, *_CONDITIONS)
     return config, {"sweep.csv": partial(write_heatmap_csv, grid)}
 
 
-def _cmd_converge(args, detector: DetectionPreset):
-    mapping = sensor_victim_map(detect_attacks(_read(load_trace, args.events), detector))
+def _cmd_converge(args, detector: DetectionPreset, events):
+    mapping = sensor_victim_map(detect_attacks(events, detector))
     if not mapping:
         raise ValueError(f"{args.events}: {detector.name} detected no attack, so there is nothing to converge")
     curve = greedy_order(mapping, strategy=args.strategy)
@@ -260,8 +259,7 @@ def _cmd_converge(args, detector: DetectionPreset):
     }
 
 
-def _cmd_overlap(args, detector: DetectionPreset):
-    events = _read(load_trace, args.events)
+def _cmd_overlap(args, detector: DetectionPreset, events):
     baseline = _read(load_baseline, args.baseline)
     report = overlap_report(detect_attacks(events, detector), events, baseline, slack_s=args.slack)
     return _echo(args, "events", "baseline", "slack"), {
@@ -270,8 +268,7 @@ def _cmd_overlap(args, detector: DetectionPreset):
     }
 
 
-def _cmd_scanners(args, detector: DetectionPreset):
-    events = _read(load_trace, args.events)
+def _cmd_scanners(args, detector: DetectionPreset, events):
     scanners = _read(load_scanner_list, args.scanners)
     classification = classify_sources(scanners, events, detector.scheme, detector.thresholds)
     return _echo(args, "events", "scanners"), {
@@ -280,14 +277,14 @@ def _cmd_scanners(args, detector: DetectionPreset):
     }
 
 
-def _cmd_evade(args, detector: None):
+def _cmd_evade(args, detector: None, events):
     profiles = BUILTIN_PROFILES if args.profiles == "builtin" else tuple(_read(load_profiles, args.profiles))
     scenario = {"attack_load_bps": args.load, "duration_s": args.duration, "platform_sensor_count": args.sensors}
     rows = evasion_rows(profiles, **scenario)
     return {"profiles": args.profiles, **scenario}, {"evasion.csv": partial(write_evasion_csv, rows)}
 
 
-def _cmd_synth(args, detector: None):
+def _cmd_synth(args, detector: None, events):
     try:
         with open(args.spec, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -357,15 +354,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """The one run path: parse, resolve the detector, then --out, run the handler, write its artifacts
-    and the manifest listing them. A usage error exits 1 before --out is created; a data error exits 2
-    before any artifact is written."""
+    """The one run path: parse, resolve the detector, then --out, read --events, run the handler, write
+    its artifacts and the manifest listing them. A usage error exits 1 before --out is created; a data
+    error exits 2 before any artifact is written."""
     args = build_parser().parse_args(argv)
     try:
-        # only the detector subcommands have --preset
+        # only the detector subcommands have --preset, and only the trace subcommands --events
         detector, config = _resolve_detector(args.parser, args) if "preset" in args else (None, {})
         out = _resolve_out(args)
-        echo, artifacts = args.func(args, detector)
+        events = _read(load_trace, args.events) if "events" in args else None
+        echo, artifacts = args.func(args, detector, events)
         _write_manifest(out, args.command, config | echo, _write_artifacts(out, artifacts))
     except (ValueError, OSError) as exc:
         print(f"honeyflow: error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .detection import (
-    GRANULARITY_ADDRESS,
     AttackEvent,
     AttackThresholds,
     DetectionPreset,
@@ -42,7 +41,7 @@ from .detection import (
     _distinct_pairs,
     victims,
 )
-from .events import BaselineAttack, PacketEvent, ScannerList, _write_csv, _write_json, ipv4_to_int, prefix_net_mask
+from .events import BaselineAttack, PacketEvent, ScannerList, _write_csv, _write_json, ipv4_to_int
 from .flows import FlowScheme
 from .trace import as_trace
 
@@ -116,7 +115,7 @@ class OverlapReport:
 
 @dataclass
 class UpperBoundFragment:
-    """Packet-level coverage: what the platform observed at all, thresholds aside."""
+    """Baseline records covered: per port, with ports, and port-less (by packets, from :func:`upper_bound`)."""
 
     per_protocol: dict[int, int] = field(default_factory=dict)
     covered_with_ports: int = 0
@@ -127,14 +126,6 @@ _Key = tuple  # (port, mask, net)
 _NO_PORT = 1 << 16  # above every port
 _Index = dict[_Key, tuple[list[float], list[float]]]
 _start, _end = itemgetter(0), itemgetter(1)
-
-
-def _victim_probe(victim) -> tuple[int, int]:
-    """(value, mask) such that the victim is covered by (net, bmask) iff
-    bmask <= mask and value & bmask == net."""
-    if victim.granularity == GRANULARITY_ADDRESS:
-        return ipv4_to_int(victim.identity), 0xFFFFFFFF
-    return prefix_net_mask(victim.identity)
 
 
 def _span_index(filed: dict[_Key, list[tuple[float, float]]]) -> _Index:
@@ -171,17 +162,23 @@ def _filed(baseline: Sequence[BaselineAttack]) -> tuple[list[list[_Key]], dict[_
     return keys, filed, sorted({mask for _, mask, _ in filed})
 
 
-def _covered_ports(
+def _coverage(
     baseline: Sequence[BaselineAttack], keys: list[list[_Key]], index: _Index, slack_s: float
-) -> list[list[int | None]]:
-    """Per record, the ports on which an observation span in ``index`` meets
-    the record's window widened by ``slack_s``, in the record's port order;
-    ``[None]`` for a covered port-less record."""
-    covered = []
+) -> UpperBoundFragment:
+    """The records an observation span in ``index`` covers: one that meets the
+    record's window widened by ``slack_s`` on one of its ports, or anywhere
+    for a port-less record. Tallied per port, with ports, and port-less."""
+    fragment = UpperBoundFragment()
     for record, record_keys in zip(baseline, keys):
         lo, hi = record.start_ts - slack_s, record.end_ts + slack_s
-        covered.append(list(dict.fromkeys(key[0] for key in record_keys if _meets(index, key, lo, hi))))
-    return covered
+        ports = dict.fromkeys(key[0] for key in record_keys if _meets(index, key, lo, hi))
+        if ports and not record.protocols:
+            fragment.portless_covered += 1
+        elif ports:
+            fragment.covered_with_ports += 1
+            for port in ports:
+                fragment.per_protocol[port] = fragment.per_protocol.get(port, 0) + 1
+    return fragment
 
 
 def _check_slack(slack_s: float) -> None:
@@ -221,44 +218,41 @@ def match_baseline(
     observed: dict[int, set] = {}
     confirmed: dict[int, set] = {}
     for attack in attacks:
-        value, vmask = _victim_probe(attack.victim)
-        within = [mask for mask in masks if mask <= vmask]
+        within = [mask for mask in masks if mask <= attack.victim.mask]
         span = (attack.first_ts, attack.last_ts)
         for port in (*attack.dst_ports, None):
             for mask in within:
-                spans = filed.get((port, mask, value & mask))
+                spans = filed.get((port, mask, attack.victim.net & mask))
                 if spans is not None:
                     spans.append(span)
         for port in attack.dst_ports:
             observed.setdefault(port, set()).add(attack.victim)
-            if any(_meets(windows, (port, mask, value & mask), *span) for mask in within):
+            if any(_meets(windows, (port, mask, attack.victim.net & mask), *span) for mask in within):
                 confirmed.setdefault(port, set()).add(attack.victim)
-    covered = _covered_ports(baseline, keys, _span_index(filed), slack_s)
+    covered = _coverage(baseline, keys, _span_index(filed), slack_s)
     portful = [record for record in baseline if record.protocols]
-    event_ports = [ports for record, ports in zip(baseline, covered) if record.protocols]
 
     per_protocol = {}
     for port in sorted(set(observed).union(*(record.protocols for record in portful))):
         seen = observed.get(port, set())
         per_protocol[port] = ProtocolOverlap(
             baseline_total=sum(port in record.protocols for record in portful),
-            matched_by_detector=sum(port in ports for ports in event_ports),
+            matched_by_detector=covered.per_protocol.get(port, 0),
             honeypot_victims=len(seen),
             honeypot_only=len(seen - confirmed.get(port, set())),
         )
-    matched_events = sum(1 for ports in event_ports if ports)
     victim_matched = set().union(*confirmed.values())
     return OverlapReport(
         per_protocol=per_protocol,
         venn=VennTriple(
             honeypot_only=len(victims(attacks) - victim_matched),
             overlap=len(victim_matched),
-            baseline_only=len(portful) - matched_events,
+            baseline_only=len(portful) - covered.covered_with_ports,
         ),
         baseline_with_ports=len(portful),
-        matched_with_ports=matched_events,
+        matched_with_ports=covered.covered_with_ports,
         portless_total=len(baseline) - len(portful),
-        portless_matched=sum(1 for record, ports in zip(baseline, covered) if ports and not record.protocols),
+        portless_matched=covered.portless_covered,
     )
 
 
@@ -288,9 +282,12 @@ def upper_bound(
     for mask in masks:
         key_of = {net << 17 | (_NO_PORT if port is None else port): (port, m, net)
                   for port, m, net in filed if m == mask}
+        known = np.sort(np.fromiter(key_of, np.int64, len(key_of)))
         nets = (values & mask) << 17
-        for codes in (nets | trace.dst_port, nets | _NO_PORT):
-            hit = np.isin(codes, np.fromiter(key_of, np.int64, len(key_of)))
+        for ports in (trace.dst_port, _NO_PORT):
+            codes = nets | ports
+            # np.isin(codes, known), without the sorted copies of every code that np.isin makes
+            hit = known.take(np.searchsorted(known, codes), mode="clip") == codes
             codes, stamps = codes[hit], trace.ts[hit]
             order = np.lexsort((stamps, codes))
             codes, stamps = codes[order], stamps[order].tolist()
@@ -298,16 +295,7 @@ def upper_bound(
             for code, a, b in zip(codes[starts].tolist(), starts, starts[1:] + [len(stamps)]):
                 times = stamps[a:b]
                 index[key_of[code]] = (times, times)
-    covered = _covered_ports(baseline, keys, index, slack_s)
-    fragment = UpperBoundFragment()
-    for record, ports in zip(baseline, covered):
-        if ports and not record.protocols:
-            fragment.portless_covered += 1
-        elif ports:
-            fragment.covered_with_ports += 1
-            for port in ports:
-                fragment.per_protocol[port] = fragment.per_protocol.get(port, 0) + 1
-    return fragment
+    return _coverage(baseline, keys, index, slack_s)
 
 
 def overlap_report(

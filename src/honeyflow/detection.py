@@ -19,14 +19,14 @@ flows that attack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import PacketEvent, _cidr, _compact_json, _prefix_mask, _write_lines, ipv4_to_int
+from .events import PacketEvent, _cidr, _compact_json, _prefix_mask, _write_lines, ipv4_to_int, prefix_net_mask
 from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
 from .trace import Trace, _string_codes, as_trace
 
@@ -104,14 +104,21 @@ def permissive_thresholds(idle_timeout: float) -> AttackThresholds:
 
 @dataclass(frozen=True)
 class Victim:
-    """Attack target: a single address or a CIDR prefix."""
+    """Attack target: a single address or a CIDR prefix. Its network ``net``/``mask`` (an address is
+    its own /32) is parsed once, here; matching and carpets read it and never parse ``identity``."""
 
     identity: str
     granularity: str
+    net: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.granularity not in (GRANULARITY_ADDRESS, GRANULARITY_PREFIX):
             raise ValueError(f"granularity must be address or prefix: {self.granularity!r}")
+        address = self.granularity == GRANULARITY_ADDRESS
+        net, mask = (ipv4_to_int(self.identity), 0xFFFFFFFF) if address else prefix_net_mask(self.identity)
+        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "mask", mask)
 
     def sort_key(self) -> tuple[str, str]:
         return (self.identity, self.granularity)
@@ -388,7 +395,6 @@ def _attack_events(
     totals = np.add.reduceat(sizes, heads).tolist()
     firsts = np.minimum.reduceat(first_ts, heads).tolist()
     lasts = np.maximum.reduceat(last_ts, heads).tolist()
-    starts = first_ts.tolist()
     if victims is None:
         sources = [flows[a].key.src for a in heads.tolist()]
         of_source = {
@@ -397,7 +403,7 @@ def _attack_events(
         victims = [of_source[src] for src in sources]
     events = []
     for k, (a, b) in enumerate(pairwise(heads.tolist() + [len(members)])):
-        order = range(a, b) if b - a == 1 else sorted(range(a, b), key=lambda i: (starts[i], flows[i].key.sort_key()))
+        order = range(a, b) if b - a == 1 else sorted(range(a, b), key=lambda i: (first_ts[i], flows[i].key.sort_key()))
         events.append(AttackEvent(
             victims[k], tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
             sensors[k], ports[k],
@@ -485,7 +491,7 @@ def detect_carpet_bombing(
     attack flows against addresses inside it intersect one time window of
     length ``window_s``. Candidate windows are anchored at each flow's start;
     the earliest qualifying anchor wins and its intersecting flows form the
-    event. ``window_s=None`` drops the time constraint entirely.
+    event. ``window_s=None`` is the unbounded window ``math.inf``.
 
     Expects address-granularity input (an address-keyed scheme upstream);
     prefix-granularity events are ignored, they already aggregate.
@@ -494,7 +500,8 @@ def detect_carpet_bombing(
         raise ValueError(f"prefix_len out of range: {prefix_len}")
     if min_flows < 1:
         raise ValueError(f"min_flows must be >= 1: {min_flows}")
-    if window_s is not None and not window_s > 0:
+    window_s = math.inf if window_s is None else window_s
+    if not window_s > 0:
         raise ValueError(f"window_s must be positive or None: {window_s}")
 
     mask = _prefix_mask(prefix_len)
@@ -503,7 +510,7 @@ def detect_carpet_bombing(
     for event in attacks:
         if event.victim.granularity == GRANULARITY_ADDRESS:
             flows += event.flows
-            nets += [ipv4_to_int(event.victim.identity) & mask] * len(event.flows)
+            nets += [event.victim.net & mask] * len(event.flows)
     if not flows:
         return []
     columns = _flow_columns(flows)
@@ -511,24 +518,21 @@ def detect_carpet_bombing(
     order = np.lexsort((columns.first_ts, net))  # _attack_events orders each carpet's flows by key too
     net, first, last = net[order], columns.first_ts[order], columns.last_ts[order]
     run = np.cumsum(np.diff(net, prepend=-1) != 0) - 1  # each flow's net, numbered in net order
-    if window_s is None:
-        chosen = (np.bincount(run) >= min_flows)[run]
-    else:
-        # The window at anchor s holds its net's flows with first_ts <= s + window_s
-        # and last_ts >= s. A flow ending before s started before s too, so it
-        # is among the first group: the count is a difference of two searches.
-        # Each time is coded by (net, rank among all times), so one search over
-        # all flows stays inside each net.
-        end = first + window_s
-        times = np.sort(np.concatenate((first, end, last)))
-        at_first, at_end, at_last = (run * len(times) + np.searchsorted(times, ts) for ts in (first, end, last))
-        count = np.searchsorted(at_first, at_end, "right") - np.searchsorted(np.sort(at_last), at_first, "left")
-        hits = np.flatnonzero(count >= min_flows)
-        earliest = hits[np.diff(run[hits], prepend=-1) != 0]
-        anchor = np.full(run[-1] + 1, np.nan)  # no flow lies in the window of a net without an anchor
-        anchor[run[earliest]] = first[earliest]
-        start = anchor[run]
-        chosen = (first <= start + window_s) & (last >= start)
+    # The window at anchor s holds its net's flows with first_ts <= s + window_s
+    # and last_ts >= s. A flow ending before s started before s too, so it
+    # is among the first group: the count is a difference of two searches.
+    # Each time is coded by (net, rank among all times), so one search over
+    # all flows stays inside each net.
+    end = first + window_s
+    times = np.sort(np.concatenate((first, end, last)))
+    at_first, at_end, at_last = (run * len(times) + np.searchsorted(times, ts) for ts in (first, end, last))
+    count = np.searchsorted(at_first, at_end, "right") - np.searchsorted(np.sort(at_last), at_first, "left")
+    hits = np.flatnonzero(count >= min_flows)
+    earliest = hits[np.diff(run[hits], prepend=-1) != 0]
+    anchor = np.full(run[-1] + 1, np.nan)  # no flow lies in the window of a net without an anchor
+    anchor[run[earliest]] = first[earliest]
+    start = anchor[run]
+    chosen = (first <= start + window_s) & (last >= start)
     members = order[chosen]
     heads = np.flatnonzero(np.diff(run[chosen], prepend=-1))
     carpets = [Victim(_cidr(n, mask), GRANULARITY_PREFIX) for n in net[chosen][heads].tolist()]

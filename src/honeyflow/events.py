@@ -497,7 +497,8 @@ def load_scanner_list(path: str, region_label: str = "") -> ScannerList:
 
 
 def write_scanner_list(scanners: ScannerList, path: str) -> None:
-    comment = [f"# {scanners.region_label}"] if scanners.region_label else []
+    label = scanners.region_label.encode("utf-8", "backslashreplace").decode("utf-8")  # escapes a lone surrogate
+    comment = [f"# {label}"] if label else []
     _write_lines(path, comment + sorted(scanners.sources, key=ipv4_to_int))
 
 

@@ -160,8 +160,15 @@ class Trace(Sequence):
     def take(self, rows) -> "Trace":
         """The events at positions ``rows`` of this trace, in that order. ``rows`` indexes the positions
         as numpy indexes an array: int arrays and lists (negatives count from the end), boolean masks
-        and slices of any step; a position out of range raises :class:`IndexError` here."""
-        return Trace(self._columns, _read_only(self.rows[rows]))
+        and slices of any step; a position out of range raises :class:`IndexError` here, and a scalar
+        or nested list :class:`TypeError`."""
+        positions = self.rows
+        selected = positions[rows]
+        if selected.ndim != 1:
+            raise TypeError(f"take needs one-dimensional positions, not {selected.ndim}-dimensional ones")
+        if self._rows is None and selected.base is positions:  # a view would pin the whole arange
+            selected = selected.copy()
+        return Trace(self._columns, _read_only(selected))
 
     def _selections(self, starts: list[int], stops: list[int]) -> list["Trace"]:
         """``self[a:b]`` for each ``a, b`` of ``starts, stops``, built straight from row views."""

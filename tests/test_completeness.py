@@ -30,8 +30,9 @@ from honeyflow.detection import (
     AttackEvent,
     Victim,
     detect_attacks,
+    detect_carpet_bombing,
 )
-from honeyflow.events import int_to_ipv4, parse_baseline_line, prefix_net_mask, serialize_baseline
+from honeyflow.events import int_to_ipv4, ipv4_to_int, parse_baseline_line, prefix_net_mask, serialize_baseline
 from honeyflow.synth import AttackSpec, ScanSpec, ScenarioSpec, synth
 
 
@@ -201,7 +202,7 @@ def test_upper_bound_is_packet_level_not_a_bound_on_the_detector():
 
 def test_built_records_are_never_parsed_again(monkeypatch):
     # each prefix is parsed when its record is built; matching and serializing read the stored pairs
-    import honeyflow.completeness
+    import honeyflow.detection
     import honeyflow.events
 
     corpus = synth(ScenarioSpec(
@@ -217,13 +218,57 @@ def test_built_records_are_never_parsed_again(monkeypatch):
         return prefix_net_mask(prefix)
 
     monkeypatch.setattr(honeyflow.events, "prefix_net_mask", counted)
-    monkeypatch.setattr(honeyflow.completeness, "prefix_net_mask", counted)
+    monkeypatch.setattr(honeyflow.detection, "prefix_net_mask", counted)
     report = overlap_report(attacks, corpus.events, corpus.baseline, slack_s=30.0)
     lines = [serialize_baseline(record) for record in corpus.baseline]
     assert calls == []
     assert report.matched_with_ports == corpus.baseline_matched
     assert [parse_baseline_line(line) for line in lines] == corpus.baseline
     assert len(calls) == sum(len(record.prefixes) for record in corpus.baseline)
+
+
+def test_victims_are_parsed_once_when_built(monkeypatch):
+    # carpets and baseline matching read Victim.net and .mask; the only parses
+    # are of the carpet victims they build, each once
+    import honeyflow.completeness
+    import honeyflow.detection
+
+    corpus = synth(ScenarioSpec(
+        seed=3, sensors=4, duration_s=900.0, baseline_events=6, baseline_overlap=0.5,
+        attacks=tuple(AttackSpec(victim=f"203.0.113.{i}", start=60.0 * i, stop=60.0 * i + 200.0) for i in range(1, 5)),
+    ))
+    attacks = ccc_attacks(corpus.events) + detect_attacks(corpus.events, PRESETS["newkid-mono"])
+    assert {attack.victim.granularity for attack in attacks} == {GRANULARITY_ADDRESS, GRANULARITY_PREFIX}
+    calls = []
+
+    def counted(parse):
+        return lambda text: calls.append(text) or parse(text)
+
+    monkeypatch.setattr(honeyflow.detection, "ipv4_to_int", counted(ipv4_to_int))
+    monkeypatch.setattr(honeyflow.detection, "prefix_net_mask", counted(prefix_net_mask))
+    monkeypatch.setattr(honeyflow.completeness, "ipv4_to_int", counted(ipv4_to_int))
+    carpets = detect_carpet_bombing(attacks, 24, 2, None)
+    assert carpets and calls == [carpet.victim.identity for carpet in carpets]
+    calls.clear()
+    report = match_baseline(attacks + carpets, corpus.baseline, slack_s=30.0)
+    assert calls == []
+    monkeypatch.undo()
+    assert report_to_dict(report) == report_to_dict(
+        oracle_match_baseline(attacks + carpets, corpus.baseline, slack_s=30.0)
+    )
+
+
+def test_a_victim_holds_its_network():
+    address, prefix = Victim("203.0.113.9", GRANULARITY_ADDRESS), Victim("203.0.113.77/24", GRANULARITY_PREFIX)
+    assert (address.net, address.mask) == (ipv4_to_int("203.0.113.9"), 0xFFFFFFFF)
+    assert (prefix.net, prefix.mask) == (ipv4_to_int("203.0.113.0"), 0xFFFFFF00)
+    assert repr(address) == "Victim(identity='203.0.113.9', granularity='address')"
+    assert prefix == Victim("203.0.113.77/24", GRANULARITY_PREFIX) != Victim("203.0.113.0/24", GRANULARITY_PREFIX)
+    assert hash(prefix) == hash(("203.0.113.77/24", GRANULARITY_PREFIX))
+    for identity, granularity in [("203.0.113.256", GRANULARITY_ADDRESS), ("203.0.113.0/24", GRANULARITY_ADDRESS),
+                                  ("203.0.113.0", GRANULARITY_PREFIX), ("203.0.113.0/33", GRANULARITY_PREFIX)]:
+        with pytest.raises(ValueError):
+            Victim(identity, granularity)
 
 
 def test_empty_baseline_shares_are_zero():

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import random
 import tempfile
@@ -388,7 +389,7 @@ def _random_trace_attacks(seed: int, loaded: bool) -> list[AttackEvent]:
     ),
     prefix_len=st.sampled_from((24, 30, 0)),
     min_flows=st.integers(1, 6),
-    window_s=st.sampled_from((None, 0.5, 1.0, 2.0, 3.0, 60.0, 900.0)),
+    window_s=st.sampled_from((None, math.inf, 0.5, 1.0, 2.0, 3.0, 60.0, 900.0)),
 )
 def test_carpet_bombing_equals_rescan_oracle(attacks, prefix_len, min_flows, window_s):
     assert detect_carpet_bombing(attacks, prefix_len, min_flows, window_s) == oracle_detect_carpet_bombing(

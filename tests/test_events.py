@@ -426,6 +426,7 @@ _LINE_BREAKS_AND_LOOKALIKES = "\n\r\x0b\x0c\x1c\x85\u2028# ."
 )
 @example(label="telescope\n198.51.100.66", sources=set())
 @example(label="t\r198.51.100.67", sources={"1.2.3.4"})
+@example(label="\ud800", sources={"1.2.3.4"})  # a lone surrogate, which UTF-8 cannot encode
 def test_scanner_list_label_lists_no_source(label, sources):
     try:
         scanners = ScannerList(frozenset(sources), region_label=label)

@@ -99,6 +99,17 @@ def test_arrays_a_trace_holds_are_read_only():
             array[:1] = 0
 
 
+def test_take_needs_one_dimensional_positions_and_a_slice_holds_its_own():
+    trace = _trace(1000)
+    for selection in (trace, trace[:]):
+        for rows in (3, np.int64(3), [[1, 2]], np.arange(4).reshape(2, 2)):
+            with pytest.raises(TypeError, match="take needs one-dimensional positions"):
+                selection.take(rows)
+    for part in (trace[:2], trace[::400], trace[-3:], trace.take(slice(5, 7))):
+        assert part.rows.base is None or part.rows.base.size == len(part)
+    assert trace[10:20][2:4].rows.tolist() == [12, 13]
+
+
 @st.composite
 def _selectors(draw, n):
     """Positions of an n-event trace as numpy takes them, and the positions they select (None: out of range)."""
