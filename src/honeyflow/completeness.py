@@ -132,9 +132,8 @@ def _span_index(filed: dict[_Key, list[tuple[float, float]]]) -> _Index:
     """The span index of the module docstring over the (start, end) spans filed per key."""
     index = {}
     for key, spans in filed.items():
-        if spans:
-            spans.sort(key=_start)
-            index[key] = (list(map(_start, spans)), list(accumulate(map(_end, spans), max)))
+        spans.sort(key=_start)
+        index[key] = (list(map(_start, spans)), list(accumulate(map(_end, spans), max)))
     return index
 
 
@@ -370,13 +369,10 @@ def classify_sources(
     trace = as_trace(events)
     listed = scanners.sources
     packets = np.bincount(trace.src, minlength=len(trace.addresses))
-    attack_events = np.zeros_like(packets)
-    clusters = _attack_clusters(trace, DetectionPreset(thresholds.name, scheme, thresholds))
-    if clusters is not None:
-        _, columns, members, heads = clusters
-        per_packet, attack_packets = _cluster_packets(columns, members, heads)
-        _, sources = _distinct_pairs(per_packet, attack_packets.src)  # each event's sources once
-        attack_events += np.bincount(sources, minlength=len(trace.addresses))
+    _, columns, members, heads = _attack_clusters(trace, DetectionPreset(thresholds.name, scheme, thresholds))
+    per_packet, attack_packets = _cluster_packets(columns, members, heads)
+    _, sources = _distinct_pairs(per_packet, attack_packets.src)  # each event's sources once
+    attack_events = np.bincount(sources, minlength=len(trace.addresses))
     code = {source: index for index, source in enumerate(trace.addresses) if source in listed}
     packet_counts = {source: int(packets[code[source]]) if source in code else 0 for source in listed}
     event_counts = {source: int(attack_events[code[source]]) if source in code else 0 for source in listed}

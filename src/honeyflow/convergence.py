@@ -237,8 +237,7 @@ class _CountSample:
         ``np.percentile``'s linear method gives them; 1.0 when the union is empty."""
         n, union = self.size, self.union_size
         rows = np.arange(len(self.hist))
-        # without tracked draws (a histogram set by hand) the band is the whole row
-        low, high = self._band or (np.zeros(len(rows), np.intp), np.full(len(rows), union))
+        low, high = self._band
         # The j-th smallest count (from 0) is how many cumulative counts are <= j: every count below a
         # rank's band, and those of its band up to j. Each band sums to n, so laid end to end rank r's
         # cumulative counts lie in [r * n, (r + 1) * n], and needles r * n + j with j < n let one search

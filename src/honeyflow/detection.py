@@ -274,20 +274,21 @@ class _FlowColumns:
 def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds) -> _FlowColumns:
     """The flows beginning at ``starts`` of a keyed split, one timeout's worth."""
     group = None
-    if thresholds.min_sensors > 1 and split.scheme.scope == PER_SENSOR:
+    if thresholds.min_sensors > 1 and "sensor" in split.key_attrs:
         attrs = [attr for attr in split.key_attrs if attr not in ("sensor", "dst_ip")]
         group = np.ravel_multi_index([split.codes(a, starts) for a in attrs], [len(split.labels(a)) for a in attrs])
     return _FlowColumns(split.sorted, np.diff(starts, append=len(split.sorted)), split.key_attrs, group)
 
 
-def _flow_columns(flows: Sequence[Flow], clustered: bool = False) -> _FlowColumns:
-    """Assembled flows as the threshold rule reads them; ``group`` is set only when ``clustered``."""
+def _flow_columns(flows: Sequence[Flow], min_sensors: int = 1) -> _FlowColumns:
+    """Assembled flows, any number of them, as the threshold rule reads them; per-sensor flows are
+    grouped for clustering when ``min_sensors > 1``, as :func:`_split_columns` groups them."""
     runs = list(map(attrgetter("packets"), flows))
+    keyed = [attr for flow in flows[:1] for attr, value in zip(_KEY_ATTRS, flow.key) if value is not None]
     group = None
-    if clustered:
+    if min_sensors > 1 and "sensor" in keyed:
         ranked = [_string_codes([getattr(f.key, field) for f in flows]) for field in ("src", "src_port", "dst_port")]
         group = np.ravel_multi_index([codes for _, (codes,) in ranked], [len(labels) for labels, _ in ranked])
-    keyed = [attr for attr, value in zip(_KEY_ATTRS, flows[0].key) if value is not None]
     return _FlowColumns(Trace.concat(runs), np.fromiter(map(len, runs), np.int64, len(runs)), keyed, group)
 
 
@@ -299,10 +300,13 @@ def _attack_runs(
     Returns, per cell, ``(members, heads)``: the indices of the flows in
     attacking clusters, cluster by cluster, and where each cluster begins
     among ``members``. Clustered flows are taken by (group, first_ts, index).
+    A configuration is judged only against flows: with none, no condition
+    is rejected and every cell is empty.
     """
     shared = cells[0]
-    _check_port_condition(shared, columns.dst_port_keyed)
     n = len(columns.sizes)
+    # with no flow there is no port to be judged against
+    _check_port_condition(shared, columns.dst_port_keyed and n > 0)
     spans = [
         (*columns.distinct(attr), least)
         for attr, least in (("dst_port", shared.min_dst_ports), ("sensor", shared.min_sensors))
@@ -385,8 +389,6 @@ def _attack_events(
     key source then share one Victim, built in this call and kept by nothing
     else.
     """
-    if not len(members):
-        return []
     sizes = columns.sizes[members]
     first_ts, last_ts = columns.first_ts[members], columns.last_ts[members]
     per_packet, packets = _cluster_packets(columns, members, heads)
@@ -433,25 +435,17 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
     the same rule on a keyed split of the trace. Events come back sorted by
     (first_ts, victim).
     """
-    if not flows:
-        return []
-    columns = _flow_columns(flows, thresholds.min_sensors > 1 and flows[0].key.sensor is not None)
+    columns = _flow_columns(flows, thresholds.min_sensors)
     ((members, heads),) = _attack_runs(columns, [thresholds])
     return _attack_events(columns, members, heads, [flows[i] for i in members.tolist()])
 
 
-def _attack_clusters(
-    trace: Trace, preset: DetectionPreset
-) -> tuple[_KeyedSplit, _FlowColumns, np.ndarray, np.ndarray] | None:
+def _attack_clusters(trace: Trace, preset: DetectionPreset) -> tuple[_KeyedSplit, _FlowColumns, np.ndarray, np.ndarray]:
     """The preset's flows over ``trace`` and its attacking clusters: (split,
-    flow columns, members, heads) as :func:`_attack_runs` gives them, or
-    None for a trace with no flows."""
+    flow columns, members, heads) as :func:`_attack_runs` gives them."""
     thresholds = preset.thresholds
     split = _split_of(trace, preset.scheme)
-    starts = split.flow_starts(thresholds.idle_timeout)
-    if not len(starts):
-        return None
-    columns = _split_columns(split, starts, thresholds)
+    columns = _split_columns(split, split.flow_starts(thresholds.idle_timeout), thresholds)
     ((members, heads),) = _attack_runs(columns, [thresholds])
     return split, columns, members, heads
 
@@ -464,13 +458,12 @@ def detect_attacks(
 
     Equal to :func:`detect` on :func:`honeyflow.flows.assemble`, errors and
     flows' ``packets.rows`` (positions in ``events``) included, but only the
-    flows of attacking clusters are built. The trace is keyed once per trace
-    and scheme, as :func:`honeyflow.flows.assemble` describes.
+    flows of attacking clusters are built. Errors included means that a
+    configuration is judged only against flows: a trace with none gives no
+    attack under any thresholds. The trace is keyed once per trace and
+    scheme, as :func:`honeyflow.flows.assemble` describes.
     """
-    clusters = _attack_clusters(as_trace(events), preset)
-    if clusters is None:
-        return []
-    split, columns, members, heads = clusters
+    split, columns, members, heads = _attack_clusters(as_trace(events), preset)
     first = columns.begins[members]
     return _attack_events(columns, members, heads, split.flows(first, first + columns.sizes[members]))
 
@@ -511,8 +504,6 @@ def detect_carpet_bombing(
         if event.victim.granularity == GRANULARITY_ADDRESS:
             flows += event.flows
             nets += [event.victim.net & mask] * len(event.flows)
-    if not flows:
-        return []
     columns = _flow_columns(flows)
     net = np.array(nets, np.int64)
     order = np.lexsort((columns.first_ts, net))  # _attack_events orders each carpet's flows by key too
@@ -529,7 +520,7 @@ def detect_carpet_bombing(
     count = np.searchsorted(at_first, at_end, "right") - np.searchsorted(np.sort(at_last), at_first, "left")
     hits = np.flatnonzero(count >= min_flows)
     earliest = hits[np.diff(run[hits], prepend=-1) != 0]
-    anchor = np.full(run[-1] + 1, np.nan)  # no flow lies in the window of a net without an anchor
+    anchor = np.full(run.max(initial=-1) + 1, np.nan)  # no flow lies in the window of a net without an anchor
     anchor[run[earliest]] = first[earliest]
     start = anchor[run]
     chosen = (first <= start + window_s) & (last >= start)

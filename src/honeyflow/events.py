@@ -178,6 +178,10 @@ def normalize_prefix(prefix: str) -> str:
 
 # -- packet events ------------------------------------------------------------
 
+# text UTF-8 cannot encode: a lone surrogate, which a JSON string may spell as an escape
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _check_port(value: int, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
@@ -229,6 +233,8 @@ class PacketEvent:
             raise ValueError(f"ts must be finite and non-negative: {self.ts}")
         if not self.sensor or not isinstance(self.sensor, str):
             raise ValueError("sensor must be a non-empty string")
+        if _SURROGATE.search(self.sensor):
+            raise ValueError("sensor is not valid UTF-8")
         ipv4_to_int(self.src_ip)
         ipv4_to_int(self.dst_ip)
         _check_port(self.src_port, "src_port")
@@ -305,6 +311,8 @@ def _diagnose_event(record, line_no: int) -> None:
     sensor = record["sensor"]
     if not isinstance(sensor, str) or not sensor:
         raise FormatError(f"line {line_no}: sensor must be a non-empty string")
+    if _SURROGATE.search(sensor):
+        raise FormatError(f"line {line_no}: sensor is not valid UTF-8")
     for name in ("src_port", "dst_port"):
         value = record[name]
         if isinstance(value, bool) or not isinstance(value, int):
@@ -519,6 +527,8 @@ class ProtocolProfile:
             raise ValueError("name must be non-empty")
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string: {self.name!r}")
+        if _SURROGATE.search(self.name):
+            raise ValueError("name is not valid UTF-8")
         _check_port(self.dst_port, "dst_port")
         _check_positive(self.request_size, "request_size")
         _check_positive(self.amplification_factor, "amplification_factor")

@@ -80,8 +80,6 @@ def sweep(
     for i, timeout in enumerate(timeout_grid):
         starts = split.flow_starts(timeout)
         cells = [replace(base_thresholds, idle_timeout=timeout, min_packets=load) for load in load_grid]
-        if not len(starts):
-            continue
         victim = split.codes("src_ip", starts)
         for j, (members, heads) in enumerate(_attack_runs(_split_columns(split, starts, base_thresholds), cells)):
             attack_flows[i, j] = len(members)

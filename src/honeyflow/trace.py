@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .events import _EVENT_KEYS, PacketEvent, _event, ipv4_to_int
+from .events import _EVENT_KEYS, _SURROGATE, PacketEvent, _event, ipv4_to_int
 
 __all__ = ["Trace", "as_trace"]
 
@@ -293,6 +293,8 @@ class _Rows:
             return False
         sensor_ids, address_ids = self.sensor_ids, self.address_ids
         for name in set(sensor).difference(sensor_ids):
+            if _SURROGATE.search(name):
+                return False
             sensor_ids[name] = len(sensor_ids)
         for address in [a for a in dict.fromkeys(chain.from_iterable(zip(src_ip, dst_ip))) if a not in address_ids]:
             try:

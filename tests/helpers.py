@@ -114,6 +114,8 @@ def oracle_parse_event_line(line: str, line_no: int) -> PacketEvent:
     sensor = record["sensor"]
     if not isinstance(sensor, str) or not sensor:
         raise FormatError(f"line {line_no}: sensor must be a non-empty string")
+    if any(0xD800 <= ord(char) <= 0xDFFF for char in sensor):  # a lone surrogate has no UTF-8 encoding
+        raise FormatError(f"line {line_no}: sensor is not valid UTF-8")
     for name in ("src_port", "dst_port"):
         value = record[name]
         if isinstance(value, bool) or not isinstance(value, int):

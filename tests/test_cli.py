@@ -744,6 +744,7 @@ def test_mutated_events_exit_0_or_name_the_line(data):
                                             "amplifier_count"]))
 @example(data=_GOOD_PROFILES.encode())
 @example(data=_GOOD_PROFILES.replace("2300000", "1" + "0" * 400).encode())  # once an OverflowError traceback
+@example(data=_GOOD_PROFILES.replace("DNS", "\\ud800").encode())  # a lone surrogate: once a half-written CSV
 def test_mutated_profiles_exit_0_or_name_the_line(data):
     _assert_0_or_names_the_line(*_cli_on_file(data, "evade", "--profiles", "{file}"))
 
@@ -817,6 +818,46 @@ def test_converge_without_attacks_exit_2(tmp_path, corpus_dir, capsys):
         f"honeyflow: error: {events}: ccc detected no attack, so there is nothing to converge\n"
     )
     assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command", ["detect", "converge"])
+def test_a_sensor_utf8_cannot_encode_is_a_format_error(tmp_path, corpus_dir, capsys, command):
+    # "\ud800" is a legal JSON escape, but no UTF-8 artifact can hold the sensor it spells
+    lines = (corpus_dir / "events.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = re.sub('"sensor":"[^"]*"', r'"sensor":"\\ud800"', lines[1])
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(lines), encoding="utf-8")
+    assert run_cli(command, "--events", str(events), "--preset", "ccc", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"honeyflow: error: {events}: line 2: sensor is not valid UTF-8\n"
+    assert os.listdir(tmp_path / "out") == []
+
+
+_PORT_CONDITION = ["--scheme", "ccc", "--idle-timeout", "900", "--min-packets", "5", "--min-dst-ports", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["detect", "--preset", name, "--carpet"] for name in sorted(PRESETS)),
+    *(["scanners", "--preset", name] for name in sorted(PRESETS)),
+    ["detect", *_PORT_CONDITION],
+    ["scanners", *_PORT_CONDITION],
+    ["sweep", "--scheme", "hpi", "--timeouts", "60,900", "--loads", "1,5", "--min-sensors", "2"],
+    ["sweep", "--scheme", "ccc", "--timeouts", "60,900", "--loads", "1,5", "--min-dst-ports", "2"],
+], ids=" ".join)
+def test_the_cli_judges_a_configuration_only_against_flows(tmp_path, capsys, argv):
+    # an empty trace runs under every configuration; one packet is a flow, and a port condition
+    # that no dst-port-keyed flow can meet is then a configuration error
+    if argv[0] == "scanners":
+        (tmp_path / "scanners.txt").write_text("203.0.113.9\n")
+        argv = [*argv, "--scanners", str(tmp_path / "scanners.txt")]
+    events = tmp_path / "events.jsonl"
+    for size, data in enumerate([b"", _GOOD_EVENTS.splitlines(keepends=True)[0].encode()]):
+        events.write_bytes(data)
+        out = tmp_path / f"out{size}"
+        rejected = size > 0 and "--min-dst-ports" in argv
+        assert run_cli(*argv, "--events", str(events), "--out", str(out)) == (2 if rejected else 0)
+        assert capsys.readouterr().err == ("honeyflow: error: min_dst_ports=2 cannot be met by a dst-port-keyed "
+                                           "scheme: every flow sees exactly one destination port\n" if rejected else "")
+        assert ("manifest.json" in os.listdir(out)) is not rejected
 
 
 def test_help_cites_preset_sources(capsys):

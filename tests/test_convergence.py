@@ -326,6 +326,7 @@ def test_histogram_percentiles_equal_numpy(union, data):
     sample = _CountSample({f"s{i}": {0} for i in range(ranks)}, seed=0)
     sample.union_size, sample.size = union, n
     sample.hist = np.stack([np.bincount(column, minlength=union + 1) for column in counts.T])
+    sample._band = np.zeros(ranks, np.intp), np.full(ranks, union)  # every row whole
     shares = counts / union if union else np.ones(counts.shape)
     expected = [shares.min(axis=0), *np.percentile(shares, [25, 50, 75], axis=0), shares.max(axis=0)]
     for got, want in zip(sample.shares(0.0, 0.25, 0.5, 0.75, 1.0), expected):

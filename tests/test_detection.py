@@ -6,6 +6,7 @@ import random
 import tempfile
 import time
 import weakref
+from dataclasses import replace
 from functools import lru_cache
 from operator import attrgetter
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import make_random_trace, oracle_attack_event, oracle_detect, oracle_detect_carpet_bombing
 from honeyflow import PacketEvent, trace_sort_key
+from honeyflow.completeness import classify_sources
 from honeyflow.detection import (
     COMPARE_AT_LEAST,
     COMPARE_MORE_THAN,
@@ -24,6 +26,7 @@ from honeyflow.detection import (
     AttackEvent,
     AttackThresholds,
     ConfigurationError,
+    DetectionPreset,
     Victim,
     detect,
     detect_attacks,
@@ -32,9 +35,10 @@ from honeyflow.detection import (
     victims,
     write_attack_report,
 )
-from honeyflow.events import int_to_ipv4, ipv4_to_int, load_trace, write_trace
+from honeyflow.events import ScannerList, int_to_ipv4, ipv4_to_int, load_trace, write_trace
 from honeyflow.flows import PER_PLATFORM, PER_SENSOR, Flow, FlowKey, FlowScheme, assemble
 from honeyflow import trace as trace_module
+from honeyflow.trace import Trace
 from honeyflow.synth import AttackSpec, ScenarioSpec, synth
 
 
@@ -273,6 +277,39 @@ def test_events_ordered_and_empty_input():
     events = burst("203.0.113.9", 5, t0=10.0) + burst("198.51.100.3", 5, t0=0.0)
     attacks = detect_burst(events, "ccc")
     assert [a.victim.identity for a in attacks] == ["198.51.100.3", "203.0.113.9"]
+
+
+# every preset, and a dst-port-keyed scheme with a port condition no flow of it can meet
+_JUDGED = {**PRESETS, "ccc-ports": DetectionPreset(
+    "ccc-ports", PRESETS["ccc"].scheme, replace(PRESETS["ccc"].thresholds, min_dst_ports=2))}
+
+
+@pytest.mark.parametrize("name", sorted(_JUDGED))
+def test_a_configuration_is_judged_only_against_flows(name):
+    # no flows, no judgement: an empty trace gives empty results under every configuration,
+    # while one packet is a flow, and a configuration that no flow can meet is rejected
+    preset = _JUDGED[name]
+    listed = ScannerList(frozenset({"203.0.113.9"}))
+    for empty in ([], Trace.from_events([])):
+        assert detect_attacks(empty, preset) == []
+        assert detect(assemble(empty, preset.scheme, preset.thresholds.idle_timeout), preset.thresholds) == []
+        classes = classify_sources(listed, empty, preset.scheme, preset.thresholds)
+        assert classes.classes == {"203.0.113.9": "unseen"} and classes.attack_events == {"203.0.113.9": 0}
+    one = burst("203.0.113.9", 1)
+    flows = assemble(one, preset.scheme, preset.thresholds.idle_timeout)
+    calls = [lambda: detect_attacks(one, preset), lambda: detect(flows, preset.thresholds),
+             lambda: classify_sources(listed, one, preset.scheme, preset.thresholds).classes]
+    if name == "ccc-ports":
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="min_dst_ports=2 cannot be met"):
+                call()
+    else:  # one packet is no attack under any preset
+        assert [call() for call in calls] == [[], [], {"203.0.113.9": "scan-only"}]
+
+
+@pytest.mark.parametrize("prefix_len, min_flows, window_s", [(24, 16, 900.0), (0, 1, None), (32, 1, math.inf)])
+def test_carpets_of_no_attacks_are_none(prefix_len, min_flows, window_s):
+    assert detect_carpet_bombing([], prefix_len, min_flows, window_s) == []
 
 
 def test_scan_traffic_stays_below_every_preset():

@@ -116,6 +116,8 @@ def test_event_validation():
         sample_event(ts=float("nan"))
     with pytest.raises(ValueError):
         sample_event(sensor="")
+    with pytest.raises(ValueError, match="sensor is not valid UTF-8"):
+        sample_event(sensor="s\ud8001")
     with pytest.raises(ValueError):
         sample_event(src_ip="not-an-ip")
     with pytest.raises(ValueError, match="src_port out of range"):
@@ -483,6 +485,7 @@ _GOOD_PROFILE = {"name": "NTP", "dst_port": 123, "request_size": 13.0,
         ("amplifier_count", "5", "amplifier_count must be a positive integer: 5"),
         ("amplifier_count", 0, "amplifier_count must be a positive integer: 0"),
         ("amplifier_count", 10**400, "amplifier_count is beyond the float range"),
+        ("name", "\ud800", "name is not valid UTF-8"),
     ],
 )
 def test_load_profiles_rejects_each_bad_field(tmp_path, field, value, message):
@@ -596,7 +599,9 @@ def _per_line_parser_ran(line, line_no):
     raise AssertionError(f"line {line_no} went to the per-line parser: {line!r}")
 
 
-@pytest.mark.parametrize("key,value", [(key, value) for key in _BAD for value in _BAD[key]])
+# a lone surrogate, which json.dumps writes as an escape: only ASCII-only lines can hold one
+@pytest.mark.parametrize("key,value", [(key, value) for key in _BAD for value in _BAD[key]]
+                         + [("sensor", "\ud800"), ("sensor", "s\udfff1")])
 def test_each_bad_field_fails_like_the_oracle(tmp_path, key, value):
     record = {"ts": 1.0, "sensor": "s1", "src_ip": "10.0.0.1", "src_port": 53,
               "dst_ip": "10.0.0.2", "dst_port": 123}
