@@ -250,20 +250,27 @@ class _FlowColumns:
     ``keyed`` names the event attributes the flow key fixes, so each flow
     holds one value of them. ``group`` codes each flow's key without its
     sensor fields when per-sensor flows are clustered, else it is None.
+    ``order`` then lists the flows by (group, first_ts, index): sorted here,
+    unless the caller narrowed it from another timeout's (:func:`_split_columns`).
     """
 
-    def __init__(self, trace: Trace, sizes: np.ndarray, keyed: Sequence[str], group: np.ndarray | None) -> None:
+    def __init__(self, trace: Trace, sizes: np.ndarray, keyed: Sequence[str], group: np.ndarray | None,
+                 order: np.ndarray | None = None) -> None:
         self.trace, self.sizes, self.keyed, self.group = trace, sizes, keyed, group
         ends = np.cumsum(sizes)
         self.begins = ends - sizes
         self.first_ts, self.last_ts = trace.take(self.begins).ts, trace.take(ends - 1).ts
         self.dst_port_keyed = "dst_port" in keyed
+        self.order = np.lexsort((self.first_ts, group)) if order is None and group is not None else order
 
     def distinct(self, attr: str) -> tuple[np.ndarray, np.ndarray]:
-        """The (flow, code) pairs of each flow's distinct sensors (codes into ``trace.sensors``) or dst ports."""
+        """Each flow's distinct sensors (codes into ``trace.sensors``) or dst ports, as ``(offsets, codes)``:
+        flow i holds ``codes[offsets[i]:offsets[i + 1]]``."""
+        n = len(self.sizes)
         if attr in self.keyed:  # one value per flow
-            return np.arange(len(self.sizes)), getattr(self.trace.take(self.begins), attr)
-        return _distinct_pairs(np.repeat(np.arange(len(self.sizes)), self.sizes), getattr(self.trace, attr))
+            return np.arange(n + 1), getattr(self.trace.take(self.begins), attr)
+        flow, codes = _distinct_pairs(np.repeat(np.arange(n), self.sizes), getattr(self.trace, attr))
+        return np.append(0, np.cumsum(np.bincount(flow, minlength=n))), codes
 
     def packets(self, members: np.ndarray) -> Trace:
         """The packets of the flows ``members``, flow after flow."""
@@ -271,13 +278,24 @@ class _FlowColumns:
         return self.trace.take(_positions(begins, begins + self.sizes[members]))
 
 
-def _split_columns(split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds) -> _FlowColumns:
-    """The flows beginning at ``starts`` of a keyed split, one timeout's worth."""
-    group = None
+def _split_columns(
+    split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds, finer: _FlowColumns | None = None
+) -> _FlowColumns:
+    """The flows beginning at ``starts`` of a keyed split, one timeout's worth.
+
+    ``finer``, a shorter timeout's columns for the same split and thresholds, lends its cluster order: a gap
+    over the longer timeout is over the shorter too, so each flow here begins where one of ``finer`` did, with
+    its group and first_ts, and indexes follow positions. ``finer.order`` restricted to those flows is ours.
+    """
+    group = order = None
     if thresholds.min_sensors > 1 and "sensor" in split.key_attrs:
         attrs = [attr for attr in split.key_attrs if attr not in ("sensor", "dst_ip")]
         group = np.ravel_multi_index([split.codes(a, starts) for a in attrs], [len(split.labels(a)) for a in attrs])
-    return _FlowColumns(split.sorted, np.diff(starts, append=len(split.sorted)), split.key_attrs, group)
+        if finer is not None:
+            flow = np.searchsorted(starts, finer.begins, "right") - 1  # the flow holding each of finer's
+            begun = starts[flow] == finer.begins
+            order = flow[finer.order[begun[finer.order]]]
+    return _FlowColumns(split.sorted, np.diff(starts, append=len(split.sorted)), split.key_attrs, group, order)
 
 
 def _flow_columns(flows: Sequence[Flow], min_sensors: int = 1) -> _FlowColumns:
@@ -315,11 +333,11 @@ def _attack_runs(
     if columns.group is None:
         # a flow alone is its cluster, and its ports and sensors do not depend on the load
         eligible = np.ones(n, dtype=bool)
-        for flow, _, least in spans:
-            eligible &= np.bincount(flow, minlength=n) >= least
+        for offsets, _, least in spans:
+            eligible &= np.diff(offsets) >= least
         order = np.flatnonzero(eligible)
     else:
-        order = np.lexsort((columns.first_ts, columns.group))
+        order = columns.order
     sizes = columns.sizes[order]
     runs = []
     for cell in cells:
@@ -340,13 +358,11 @@ def _attack_runs(
         head = np.zeros(len(members), dtype=bool)
         head[heads] = True
         cluster = np.cumsum(head) - 1
-        cluster_of_flow = np.full(n, -1)
-        cluster_of_flow[members] = cluster
         attacks = np.ones(len(members), dtype=bool)
-        for flow, code, least in spans:
-            bins = cluster_of_flow[flow]
-            kept = bins >= 0
-            spread = np.bincount(_distinct_pairs(bins[kept], code[kept])[0], minlength=len(members))
+        for offsets, code, least in spans:  # each member's own (cluster, code) pairs
+            begins, ends = offsets[members], offsets[members + 1]
+            pairs = np.repeat(cluster, ends - begins), code[_positions(begins, ends)]
+            spread = np.bincount(_distinct_pairs(*pairs)[0], minlength=len(members))
             attacks &= spread[cluster] >= least
         runs.append((members[attacks], np.flatnonzero(head[attacks])))
     return runs

@@ -7,6 +7,11 @@ for later calls; each timeout splits it into flow ranges, and the
 detector's own threshold rule decides every cell of the row from those
 ranges, without building a Flow or an AttackEvent. A cell is therefore the size of what
 :func:`honeyflow.detection.detect_attacks` returns at that cell.
+
+A clustered scheme orders its flows by (group, first_ts) once per sweep,
+at the shortest timeout. Timeouts increase, and a longer one only merges
+flows, so each later timeout narrows the previous order to the flows that
+still begin one; a cell then reads only its own members' sensors and ports.
 """
 
 from __future__ import annotations
@@ -77,11 +82,13 @@ def sweep(
     split = _split_of(as_trace(events), scheme)
     attack_flows = np.zeros((len(timeout_grid), len(load_grid)), dtype=np.int64)
     victim_counts = np.zeros_like(attack_flows)
+    columns = None
     for i, timeout in enumerate(timeout_grid):
         starts = split.flow_starts(timeout)
+        columns = _split_columns(split, starts, base_thresholds, columns)  # narrows the last timeout's order
         cells = [replace(base_thresholds, idle_timeout=timeout, min_packets=load) for load in load_grid]
         victim = split.codes("src_ip", starts)
-        for j, (members, heads) in enumerate(_attack_runs(_split_columns(split, starts, base_thresholds), cells)):
+        for j, (members, heads) in enumerate(_attack_runs(columns, cells)):
             attack_flows[i, j] = len(members)
             victim_counts[i, j] = np.count_nonzero(np.bincount(victim[members[heads]]))
     return HeatmapGrid(
@@ -93,8 +100,9 @@ def sweep(
 
 
 def _axis_value(value: float) -> str:
-    # 60.0 prints as 60; 0.5 stays 0.5
-    return f"{value:g}"
+    # 60.0 prints as 60; 0.5 stays 0.5; 1234567.0, which :g rounds to 1.23457e+06, prints in full
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str) -> None:

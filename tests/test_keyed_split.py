@@ -62,6 +62,28 @@ def test_six_presets_and_two_sweeps_key_four_times(built):
     assert len(built) == 4
 
 
+def test_a_sweep_sorts_its_clusters_once(monkeypatch):
+    trace = _trace()
+    hpi = PRESETS["hpi"]
+    _split_of(trace, hpi.scheme)  # keyed here, so every sort counted below is a cluster sort
+    sorts = []
+
+    def counting(keys, *args, **kwargs):
+        sorts.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", counting)
+    base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, min_sensors=2, comparison=">")
+    timeouts = (0.5, 10.0, 60.0, 300.0, 900.0, 3600.0)
+    sweep(trace, hpi.scheme, timeouts, (1, 5, 20), base)
+    assert len(sorts) == 1
+    sweep(trace, PRESETS["ccc"].scheme, timeouts, (1, 5, 20))
+    assert len(sorts) == 1
+    detect_attacks(trace, hpi)
+    assert len(sorts) == 2
+
+
 def test_selections_start_without_splits(built):
     trace = _trace(500)
     scheme = PRESETS["ccc"].scheme

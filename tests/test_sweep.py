@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -94,6 +94,11 @@ def test_heatmap_csv_layout(tmp_path):
     assert lines[3].startswith("600,1,")
     f, v = grid.cell(60.0, 1)
     assert lines[1] == f"60,1,{f},{v}"
+    # a timeout :g would round to six digits is written in full, so every row keeps its own label
+    grid = sweep(events, PRESETS["ccc"].scheme, [1234567.0, 1234568.0], [1])
+    write_heatmap_csv(grid, str(path))
+    labels = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert labels == ["1234567.0", "1234568.0"]
 
 
 def test_cell_accessor_rejects_unknown_axis():
@@ -126,6 +131,15 @@ _SWEEP_CASES = {
 }
 
 
+def _ticks(rows):
+    """Events from (tick, sensor, address, source, dst port) rows, sorted by ts; address 0 or 1 of the sensor."""
+    events = [
+        PacketEvent(float(tick), sensor, src, 4444, f"192.0.2.{2 * _SENSORS.index(sensor) + addr}", dport)
+        for tick, sensor, addr, src, dport in rows
+    ]
+    return sorted(events, key=lambda e: e.ts)
+
+
 @st.composite
 def _sorted_streams(draw):
     """Few keys on a 1 s grid, so flows overlap across sensors and merge or split by timeout.
@@ -133,17 +147,11 @@ def _sorted_streams(draw):
     Each sensor has two addresses, so one sensor can hold two overlapping
     flows of one hpi cluster.
     """
-    rows = draw(st.lists(
+    return _ticks(draw(st.lists(
         st.tuples(st.integers(0, 12), st.sampled_from(_SENSORS), st.integers(0, 1),
                   st.sampled_from(_SOURCES), st.sampled_from((53, 123, 389))),
         min_size=8, max_size=60,
-    ))
-    events = [
-        PacketEvent(float(tick), sensor, src, 4444, f"192.0.2.{2 * _SENSORS.index(sensor) + addr}", dport)
-        for tick, sensor, addr, src, dport in rows
-    ]
-    events.sort(key=lambda e: e.ts)
-    return events
+    )))
 
 
 def _increasing(values):
@@ -156,6 +164,27 @@ def _increasing(values):
     case=st.sampled_from(sorted(_SWEEP_CASES)),
     timeouts=_increasing((0.5, 1.0, 2.0, 3.0, 10.0, 1e9)),
     loads=_increasing((1, 1.5, 2, 2.5, 3, 4, 6, 10)),
+)
+# flows of one hpi group that begin at one ts on two sensors and begin a flow at every timeout
+@example(
+    events=_ticks([(t, s, 0, "10.0.0.1", 53) for t in (0, 1, 2, 5, 6) for s in ("s1", "s2")]
+                  + [(t, s, 1, "10.0.1.1", 53) for t in (0, 3, 4) for s in ("s2", "s3")]),
+    case="hpi", timeouts=[0.5, 1.0, 3.0, 10.0], loads=[1, 2, 3],
+)
+# 0.5 s splits every packet into its own flow, and 1e9 s merges each key into one
+@example(
+    events=_ticks([(0, "s1", 0, "10.0.0.1", 53), (1, "s1", 0, "10.0.0.1", 53), (4, "s1", 0, "10.0.0.1", 53),
+                   (1, "s2", 0, "10.0.0.1", 53), (2, "s2", 0, "10.0.0.1", 53), (9, "s2", 0, "10.0.0.1", 53),
+                   (0, "s3", 1, "10.0.1.1", 123), (3, "s3", 1, "10.0.1.1", 123), (3, "s1", 1, "10.0.1.1", 123),
+                   (5, "s1", 1, "10.0.1.1", 123)]),
+    case="hpi-at-least", timeouts=[0.5, 1e9], loads=[1, 2, 3],
+)
+# the port span is not keyed, so a cell reads each member's distinct ports
+@example(
+    events=_ticks([(t, "s1", 0, "10.0.0.1", p) for t, p in ((0, 53), (1, 123), (2, 53), (6, 389))]
+                  + [(t, "s2", 0, "10.0.0.1", 53) for t in (1, 3, 7)]
+                  + [(t, s, 1, "10.0.1.1", 53) for t in (0, 1, 2) for s in ("s2", "s3")]),
+    case="hpi-ports", timeouts=[0.5, 2.0, 1e9], loads=[1, 2],
 )
 def test_sweep_equals_per_cell_recomputation(events, case, timeouts, loads):
     scheme, knobs = _SWEEP_CASES[case]
