@@ -37,8 +37,7 @@ from .detection import (
     AttackThresholds,
     DetectionPreset,
     _attack_clusters,
-    _cluster_packets,
-    _distinct_pairs,
+    _cluster_pairs,
     victims,
 )
 from .events import BaselineAttack, PacketEvent, ScannerList, _write_csv, _write_json, ipv4_to_int
@@ -370,8 +369,7 @@ def classify_sources(
     listed = scanners.sources
     packets = np.bincount(trace.src, minlength=len(trace.addresses))
     _, columns, members, heads = _attack_clusters(trace, DetectionPreset(thresholds.name, scheme, thresholds))
-    per_packet, attack_packets = _cluster_packets(columns, members, heads)
-    _, sources = _distinct_pairs(per_packet, attack_packets.src)  # each event's sources once
+    _, sources = _cluster_pairs(columns, "src", members, heads)  # each event's sources once
     attack_events = np.bincount(sources, minlength=len(trace.addresses))
     code = {source: index for index, source in enumerate(trace.addresses) if source in listed}
     packet_counts = {source: int(packets[code[source]]) if source in code else 0 for source in listed}

@@ -13,7 +13,7 @@ address-level attack events.
 One threshold rule on per-flow arrays decides for :func:`detect`,
 :func:`detect_attacks` and :func:`honeyflow.sweep.sweep` alike;
 :func:`detect_attacks` builds Flow and AttackEvent objects only for the
-flows that attack.
+flows that attack, and an attack's sets come from the codes the rule read.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import PacketEvent, _cidr, _compact_json, _prefix_mask, _write_lines, ipv4_to_int, prefix_net_mask
-from .flows import _KEY_ATTRS, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
-from .trace import Trace, _string_codes, as_trace
+from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
+from .trace import Trace, as_trace
 
 __all__ = [
     "COMPARE_AT_LEAST",
@@ -247,35 +247,34 @@ class _FlowColumns:
 
     ``trace`` holds the flows' packets, flow after flow, and ``sizes`` their
     counts; ``begins``, ``first_ts`` and ``last_ts`` follow from them.
-    ``keyed`` names the event attributes the flow key fixes, so each flow
-    holds one value of them. ``group`` codes each flow's key without its
-    sensor fields when per-sensor flows are clustered, else it is None.
+    ``keyed`` names event attributes every flow's key fixes, so each flow holds
+    one value of them, and only :meth:`distinct` reads what flows hold.
+    ``dst_port_keyed`` (by default, whether ``keyed`` holds the dst port) says whether
+    the port condition meets dst-port-keyed flows. ``group`` codes each flow's key
+    without its sensor fields when per-sensor flows are clustered, else it is None.
     ``order`` then lists the flows by (group, first_ts, index): sorted here,
     unless the caller narrowed it from another timeout's (:func:`_split_columns`).
     """
 
     def __init__(self, trace: Trace, sizes: np.ndarray, keyed: Sequence[str], group: np.ndarray | None,
-                 order: np.ndarray | None = None) -> None:
+                 order: np.ndarray | None = None, dst_port_keyed: bool | None = None) -> None:
         self.trace, self.sizes, self.keyed, self.group = trace, sizes, keyed, group
         ends = np.cumsum(sizes)
         self.begins = ends - sizes
         self.first_ts, self.last_ts = trace.take(self.begins).ts, trace.take(ends - 1).ts
-        self.dst_port_keyed = "dst_port" in keyed
+        self.dst_port_keyed = "dst_port" in keyed if dst_port_keyed is None else dst_port_keyed
         self.order = np.lexsort((self.first_ts, group)) if order is None and group is not None else order
 
-    def distinct(self, attr: str) -> tuple[np.ndarray, np.ndarray]:
-        """Each flow's distinct sensors (codes into ``trace.sensors``) or dst ports, as ``(offsets, codes)``:
-        flow i holds ``codes[offsets[i]:offsets[i + 1]]``."""
-        n = len(self.sizes)
+    def distinct(self, attr: str, flows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``flows``' (by default every flow's) distinct sensors, sources (``"src"``) or dst ports, as
+        ``(offsets, codes)``: flow i holds ``codes[offsets[i]:offsets[i + 1]]``. Only those flows' packets are read."""
+        begins, sizes = (self.begins, self.sizes) if flows is None else (self.begins[flows], self.sizes[flows])
+        n = len(sizes)
         if attr in self.keyed:  # one value per flow
-            return np.arange(n + 1), getattr(self.trace.take(self.begins), attr)
-        flow, codes = _distinct_pairs(np.repeat(np.arange(n), self.sizes), getattr(self.trace, attr))
+            return np.arange(n + 1), getattr(self.trace.take(begins), attr)
+        packets = self.trace if flows is None else self.trace.take(_positions(begins, begins + sizes))
+        flow, codes = _distinct_pairs(np.repeat(np.arange(n), sizes), getattr(packets, attr))
         return np.append(0, np.cumsum(np.bincount(flow, minlength=n))), codes
-
-    def packets(self, members: np.ndarray) -> Trace:
-        """The packets of the flows ``members``, flow after flow."""
-        begins = self.begins[members]
-        return self.trace.take(_positions(begins, begins + self.sizes[members]))
 
 
 def _split_columns(
@@ -299,15 +298,17 @@ def _split_columns(
 
 
 def _flow_columns(flows: Sequence[Flow], min_sensors: int = 1) -> _FlowColumns:
-    """Assembled flows, any number of them, as the threshold rule reads them; per-sensor flows are
-    grouped for clustering when ``min_sensors > 1``, as :func:`_split_columns` groups them."""
+    """Assembled flows, any number of them and of any schemes, as the threshold rule reads them. A flow's
+    sensor or dst port is keyed when every flow's key fixes it. As in :func:`detect`, the first flow's key decides
+    the port condition and whether flows cluster (``min_sensors > 1``); a cluster group is the first-seen key
+    without sensor fields, as :func:`_split_columns` groups them."""
     runs = list(map(attrgetter("packets"), flows))
-    keyed = [attr for flow in flows[:1] for attr, value in zip(_KEY_ATTRS, flow.key) if value is not None]
-    group = None
-    if min_sensors > 1 and "sensor" in keyed:
-        ranked = [_string_codes([getattr(f.key, field) for f in flows]) for field in ("src", "src_port", "dst_port")]
-        group = np.ravel_multi_index([codes for _, (codes,) in ranked], [len(labels) for labels, _ in ranked])
-    return _FlowColumns(Trace.concat(runs), np.fromiter(map(len, runs), np.int64, len(runs)), keyed, group)
+    keyed = [attr for attr in ("sensor", "dst_port") if None not in map(attrgetter("key." + attr), flows)]
+    group, number = None, {}
+    if min_sensors > 1 and any(flow.key.sensor is not None for flow in flows[:1]):
+        group = np.array([number.setdefault((key.src, key.src_port, key.dst_port), len(number)) for key, _ in flows])
+    return _FlowColumns(Trace.concat(runs), np.fromiter(map(len, runs), np.int64, len(runs)), keyed, group,
+                        dst_port_keyed=any(flow.key.dst_port is not None for flow in flows[:1]))
 
 
 def _attack_runs(
@@ -368,21 +369,22 @@ def _attack_runs(
     return runs
 
 
-def _cluster_packets(columns: _FlowColumns, members: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, Trace]:
-    """The packets of the flows ``members``, flow by flow, and the cluster number of each."""
-    cluster = np.zeros(len(members), dtype=np.intp)
-    cluster[heads[1:]] = 1
-    return np.repeat(np.cumsum(cluster), columns.sizes[members]), columns.packets(members)
+def _cluster_pairs(columns: _FlowColumns, attr: str, members: np.ndarray,
+                   heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (cluster, code) pairs of ``attr`` over the clusters of ``members`` beginning at ``heads``."""
+    offsets, codes = columns.distinct(attr, members)
+    per_cluster = np.diff(offsets[np.append(heads, len(members))])  # the heads' offsets bound each cluster's codes
+    return _distinct_pairs(np.repeat(np.arange(len(heads)), per_cluster), codes)
 
 
-def _cluster_sets(clusters: np.ndarray, codes: np.ndarray, labels: Sequence | None, n: int) -> list[frozenset]:
-    """Per cluster 0..n-1, the set of the labels of its codes (the codes themselves without labels).
+def _cluster_sets(pairs: tuple[np.ndarray, np.ndarray], labels: Sequence | None, n: int) -> list[frozenset]:
+    """Per cluster 0..n-1, the set of the labels of its codes in ``pairs`` (the codes themselves without labels).
 
     Equal sets are one object. The clusters of one trace repeat a handful of
     sensor and port sets, so a run that emits one event per flow holds those
     few sets, not thousands of equal ones; nothing is kept after the call.
     """
-    clusters, codes = _distinct_pairs(clusters, codes)
+    clusters, codes = pairs
     values = codes.tolist() if labels is None else [labels[code] for code in codes.tolist()]
     cuts = np.searchsorted(clusters, np.arange(n + 1)).tolist()
     shared: dict[frozenset, frozenset] = {}
@@ -405,12 +407,10 @@ def _attack_events(
     key source then share one Victim, built in this call and kept by nothing
     else.
     """
-    sizes = columns.sizes[members]
     first_ts, last_ts = columns.first_ts[members], columns.last_ts[members]
-    per_packet, packets = _cluster_packets(columns, members, heads)
-    sensors = _cluster_sets(per_packet, packets.sensor, packets.sensors, len(heads))
-    ports = _cluster_sets(per_packet, packets.dst_port, None, len(heads))
-    totals = np.add.reduceat(sizes, heads).tolist()
+    sensors = _cluster_sets(_cluster_pairs(columns, "sensor", members, heads), columns.trace.sensors, len(heads))
+    ports = _cluster_sets(_cluster_pairs(columns, "dst_port", members, heads), None, len(heads))
+    totals = np.add.reduceat(columns.sizes[members], heads).tolist()
     firsts = np.minimum.reduceat(first_ts, heads).tolist()
     lasts = np.maximum.reduceat(last_ts, heads).tolist()
     if victims is None:
@@ -445,7 +445,10 @@ def detect(flows: Sequence[Flow], thresholds: AttackThresholds) -> list[AttackEv
     The port condition is evaluated on the attack event's union of ports,
     which is why it cannot be combined with a dst-port-keyed scheme: such
     flows see exactly one port each, so the combination is rejected as a
-    configuration error instead of silently detecting nothing.
+    configuration error instead of silently detecting nothing. Flows may
+    come from several schemes: the first flow's key decides whether flows
+    cluster and whether the port condition can be met, and each flow's own
+    packets give its sensors and ports.
 
     :func:`detect_attacks` and :func:`honeyflow.sweep.sweep` decide with
     the same rule on a keyed split of the trace. Events come back sorted by

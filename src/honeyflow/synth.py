@@ -270,12 +270,17 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
         if len(chunk) == _CHUNK_LINES:
             add_chunk()
 
-    def note_victim(victim: str, sensor_idx: int, ts: float, port: int) -> None:
+    def burst(start: float, slot: float, n: int, sensor_idx: int, victim: str, sport: int, dport: int,
+              label: str) -> None:
+        """``n`` packets to ``victim`` at one sensor, the k-th jittered within the k-th ``slot`` after ``start``."""
         victims.add(victim)
         sensor_victims[sensor_ids[sensor_idx]].add(victim)
-        window = windows.setdefault(victim, [ts, ts, set()])
-        window[0], window[1] = min(window[0], ts), max(window[1], ts)
-        window[2].add(port)
+        window = windows.setdefault(victim, [math.inf, -math.inf, set()])
+        window[2].add(dport)
+        for k in range(n):
+            ts = start + (k + 0.5 * rng.random()) * slot
+            plant(ts, sensor_idx, victim, sport, dport, label)
+            window[0], window[1] = min(window[0], ts), max(window[1], ts)
 
     for i, attack in enumerate(spec.attacks, 1):
         label = f"attack-{i}"
@@ -289,10 +294,7 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
         src_port = attack.src_port if attack.src_port is not None else rng.randint(1024, 65535)
         slot = (attack.stop - attack.start) / n
         for idx in indices:
-            for k in range(n):
-                ts = attack.start + (k + 0.5 * rng.random()) * slot
-                plant(ts, idx, attack.victim, src_port, attack.dst_port, label)
-                note_victim(attack.victim, idx, ts, attack.dst_port)
+            burst(attack.start, slot, n, idx, attack.victim, src_port, attack.dst_port, label)
 
     for i, scan in enumerate(spec.scans, 1):
         label = f"scan-{i}"
@@ -329,13 +331,8 @@ def synth(spec: ScenarioSpec) -> LabeledCorpus:
             raise SynthesisError(f"carpet-{i} runs past the scenario duration")
         src_port = rng.randint(1024, 65535)
         for f in range(carpet.n_flows):
-            address = addresses[f % carpet.n_victims]
-            idx = indices[f % len(indices)]
-            flow_start = carpet.start + f * carpet.flow_spacing_s
-            for k in range(carpet.packets_per_flow):
-                ts = flow_start + (k + 0.5 * rng.random()) * slot
-                plant(ts, idx, address, src_port, carpet.dst_port, label)
-                note_victim(address, idx, ts, carpet.dst_port)
+            burst(carpet.start + f * carpet.flow_spacing_s, slot, carpet.packets_per_flow, indices[f % len(indices)],
+                  addresses[f % carpet.n_victims], src_port, carpet.dst_port, label)
 
     for _ in range(spec.noise_packets):
         src = f"240.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}"

@@ -404,25 +404,45 @@ def _carpet_attacks(draw):
 
 
 @lru_cache(maxsize=None)
-def _random_trace_attacks(seed: int, loaded: bool) -> list[AttackEvent]:
-    """ccc attacks over a seeded random trace, given as a list or loaded from JSONL.
-
-    Their flows hold rows of one trace, as the flows of ``honeyflow detect``
-    do; a loaded trace builds each event only when it is read.
-    """
+def _random_trace(seed: int, loaded: bool) -> list[PacketEvent] | Trace:
+    """A seeded random trace, given as a list or loaded from JSONL."""
     events = make_random_trace(random.Random(seed), 2000, n_sources=30, duration=3000.0)
     if loaded:
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "events.jsonl")
             write_trace(events, path)
             events = load_trace(path)
-    return detect_attacks(events, PRESETS["ccc"])
+    return events
+
+
+@lru_cache(maxsize=None)
+def _random_trace_attacks(seed: int, loaded: bool) -> list[AttackEvent]:
+    """ccc attacks over a seeded random trace, given as a list or loaded from JSONL.
+
+    Their flows hold rows of one trace, as the flows of ``honeyflow detect``
+    do; a loaded trace builds each event only when it is read.
+    """
+    return detect_attacks(_random_trace(seed, loaded), PRESETS["ccc"])
+
+
+_AMPPOT_3 = DetectionPreset(
+    "amppot-3", PRESETS["amppot"].scheme, replace(PRESETS["amppot"].thresholds, name="amppot-3", min_packets=3)
+)
+
+
+@lru_cache(maxsize=None)
+def _mixed_scheme_attacks(seed: int, loaded: bool) -> list[AttackEvent]:
+    """The ccc attacks of :func:`_random_trace_attacks`, then those of an amppot-scheme preset over the same
+    trace, whose flow keys fix no sensor."""
+    return _random_trace_attacks(seed, loaded) + detect_attacks(_random_trace(seed, loaded), _AMPPOT_3)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     attacks=st.one_of(
-        _carpet_attacks(), st.builds(_random_trace_attacks, st.integers(0, 3), st.booleans())
+        _carpet_attacks(),
+        st.builds(_random_trace_attacks, st.integers(0, 3), st.booleans()),
+        st.builds(_mixed_scheme_attacks, st.integers(0, 3), st.booleans()),
     ),
     prefix_len=st.sampled_from((24, 30, 0)),
     min_flows=st.integers(1, 6),
@@ -482,6 +502,19 @@ def test_detect_reads_flows_of_several_traces_and_hand_built_ones():
     got = detect(flows, ccc.thresholds)
     assert got == oracle_detect(flows, ccc.thresholds)
     assert len(got) > 2
+    # flows of two schemes: the first flow's key decides clustering, each flow's own packets give its sets
+    events = sorted((
+        PacketEvent(f * 5.0 + k * 0.5, f"s{k % 3}", f"203.0.113.{f + 1}", 50000, f"192.0.2.{k % 3 + 1}", 123 + k % 2)
+        for f in range(20) for k in range(30)
+    ), key=trace_sort_key)
+    first = assemble(events, ccc.scheme, 900.0)[:1]
+    for scheme in (PRESETS["amppot"].scheme, FlowScheme(scope=PER_SENSOR, use_dst_port=False)):
+        flows = first + assemble(events, scheme, 900.0)
+        for min_sensors in (1, 2):
+            thresholds = replace(ccc.thresholds, min_sensors=min_sensors)
+            got = detect(flows, thresholds)
+            assert got == oracle_detect(flows, thresholds)
+            assert len(got) >= 20
 
 
 def test_attack_report_format(tmp_path):

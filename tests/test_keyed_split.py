@@ -22,7 +22,7 @@ from honeyflow import (
     detect_attacks,
     sweep,
 )
-from honeyflow import flows
+from honeyflow import detection, flows
 from honeyflow.events import int_to_ipv4
 from honeyflow.flows import PER_PLATFORM, PER_SENSOR, FlowScheme, _prefix_codes, _split_of
 from honeyflow.trace import Trace, _ranked
@@ -82,6 +82,26 @@ def test_a_sweep_sorts_its_clusters_once(monkeypatch):
     assert len(sorts) == 1
     detect_attacks(trace, hpi)
     assert len(sorts) == 2
+
+
+def test_ccc_detection_reads_its_sets_off_the_keys(monkeypatch):
+    # ccc's key fixes each flow's sensor and dst port, so an attack's sets need no packet gathered
+    trace = Trace.from_events(make_random_trace(random.Random(5), 2000, n_sources=30, duration=3000.0))
+    ccc = PRESETS["ccc"]
+    _split_of(trace, ccc.scheme)
+    gathers = []
+    positions = detection._positions
+
+    def counting(starts, stops):
+        gathers.append(len(starts))
+        return positions(starts, stops)
+
+    monkeypatch.setattr(detection, "_positions", counting)
+    attacks = detect_attacks(trace, ccc)
+    assert gathers == []
+    monkeypatch.undo()
+    assert len(attacks) > 2
+    assert attacks == detection.detect(assemble(trace, ccc.scheme, 900.0), ccc.thresholds)
 
 
 def test_selections_start_without_splits(built):
