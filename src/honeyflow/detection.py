@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import PacketEvent, _cidr, _compact_json, _prefix_mask, _write_lines, ipv4_to_int, prefix_net_mask
-from .flows import PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
+from .flows import _COLUMN, PER_PLATFORM, PER_SENSOR, Flow, FlowScheme, _KeyedSplit, _split_of
 from .trace import Trace, as_trace
 
 __all__ = [
@@ -242,59 +243,93 @@ def _distinct_pairs(bins: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
     return pairs[first] // width, pairs[first] % width
 
 
+def _earlier(values: np.ndarray) -> np.ndarray:
+    """Each position's previous position holding the same code, -1 at a code's first (codes in 0..2**31 - 1)."""
+    by_code = values.astype(np.int64) << 32
+    by_code |= np.arange(len(values))
+    by_code = np.sort(by_code)  # each code's positions together, in order
+    again = by_code[1:] >> 32 == by_code[:-1] >> 32
+    by_code &= 0xFFFFFFFF
+    earlier = np.full(len(values), -1)
+    earlier[by_code[1:][again]] = by_code[:-1][again]
+    return earlier
+
+
 class _FlowColumns:
     """Flows as the threshold rule reads them, one entry per flow.
 
-    ``trace`` holds the flows' packets, flow after flow, and ``sizes`` their
-    counts; ``begins``, ``first_ts`` and ``last_ts`` follow from them.
-    ``keyed`` names event attributes every flow's key fixes, so each flow holds
-    one value of them, and only :meth:`distinct` reads what flows hold.
-    ``dst_port_keyed`` (by default, whether ``keyed`` holds the dst port) says whether
-    the port condition meets dst-port-keyed flows. ``group`` codes each flow's key
-    without its sensor fields when per-sensor flows are clustered, else it is None.
-    ``order`` then lists the flows by (group, first_ts, index): sorted here,
-    unless the caller narrowed it from another timeout's (:func:`_split_columns`).
+    ``trace`` holds the flows' packets, flow after flow from ``begins`` on;
+    ``sizes`` follow, and ``heads`` (each flow's first packet), ``first_ts``
+    and ``last_ts`` are read on first use. ``keyed`` names the trace columns
+    every flow's key fixes, so each flow holds one value of them, and only
+    :meth:`distinct` reads what flows hold. ``dst_port_keyed`` (by default,
+    whether ``keyed`` holds the dst port) says whether the port condition
+    meets dst-port-keyed flows. ``group`` codes each flow's key without its
+    sensor fields when per-sensor flows are clustered, else it is None.
+    ``order`` then lists the flows by (group, first_ts, index). ``finer``,
+    a shorter timeout's columns of the same trace and thresholds, lends its
+    ``earlier`` and, by index, each clustered flow's group, head and times.
     """
 
-    def __init__(self, trace: Trace, sizes: np.ndarray, keyed: Sequence[str], group: np.ndarray | None,
-                 order: np.ndarray | None = None, dst_port_keyed: bool | None = None) -> None:
-        self.trace, self.sizes, self.keyed, self.group = trace, sizes, keyed, group
-        ends = np.cumsum(sizes)
-        self.begins = ends - sizes
-        self.first_ts, self.last_ts = trace.take(self.begins).ts, trace.take(ends - 1).ts
+    def __init__(self, trace: Trace, begins: np.ndarray, keyed: Sequence[str], group: np.ndarray | None = None,
+                 dst_port_keyed: bool | None = None, finer: _FlowColumns | None = None) -> None:
+        self.trace, self.begins, self.keyed, self.group = trace, begins, keyed, group
+        self.sizes = np.diff(begins, append=len(trace))
         self.dst_port_keyed = "dst_port" in keyed if dst_port_keyed is None else dst_port_keyed
-        self.order = np.lexsort((self.first_ts, group)) if order is None and group is not None else order
+        self.earlier = {} if finer is None else finer.earlier
+        if finer is None or finer.group is None:
+            self.order = None if group is None else np.lexsort((self.first_ts, group))
+            return
+        begun = np.zeros(len(trace), dtype=bool)
+        begun[begins] = True
+        begun = begun[finer.begins]  # which of finer's flows begin one here
+        which = np.flatnonzero(begun)
+        index = np.empty(len(begun), np.intp)
+        index[which] = np.arange(len(which))
+        self.group, self.order = finer.group[which], index[finer.order[begun[finer.order]]]
+        self.heads, self.first_ts = finer.heads.take(which), finer.first_ts[which]
+        self.last_ts = finer.last_ts[np.append(begun, True)[1:]]  # finer's flows that end one here
+
+    heads = cached_property(lambda self: self.trace.take(self.begins))
+    first_ts = cached_property(lambda self: self.trace.take(self.begins).ts)
+    last_ts = cached_property(lambda self: self.trace.take(self.begins + self.sizes - 1).ts)
 
     def distinct(self, attr: str, flows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Each of ``flows``' (by default every flow's) distinct sensors, sources (``"src"``) or dst ports, as
-        ``(offsets, codes)``: flow i holds ``codes[offsets[i]:offsets[i + 1]]``. Only those flows' packets are read."""
-        begins, sizes = (self.begins, self.sizes) if flows is None else (self.begins[flows], self.sizes[flows])
-        n = len(sizes)
+        ``(offsets, codes)``: flow i holds ``codes[offsets[i]:offsets[i + 1]]``. Only those flows' packets are read.
+        Of every flow, a packet is the first of its value when the value's previous packet lies before the flow;
+        ``earlier[attr]`` keeps the values and those positions, derived on first use, so no later call sorts."""
         if attr in self.keyed:  # one value per flow
-            return np.arange(n + 1), getattr(self.trace.take(begins), attr)
-        packets = self.trace if flows is None else self.trace.take(_positions(begins, begins + sizes))
-        flow, codes = _distinct_pairs(np.repeat(np.arange(n), sizes), getattr(packets, attr))
+            heads = self.heads if flows is None else self.trace.take(self.begins[flows])
+            return np.arange(len(heads) + 1), getattr(heads, attr)
+        n = len(self.sizes) if flows is None else len(flows)
+        if flows is None:
+            if attr not in self.earlier:
+                values = getattr(self.trace, attr)
+                self.earlier[attr] = values, _earlier(values)
+            values, earlier = self.earlier[attr]
+            flow = np.repeat(np.arange(n), self.sizes)
+            first = earlier < self.begins[flow]
+            flow, codes = flow[first], values[first]
+        else:
+            begins, sizes = self.begins[flows], self.sizes[flows]
+            packets = self.trace.take(_positions(begins, begins + sizes))
+            flow, codes = _distinct_pairs(np.repeat(np.arange(n), sizes), getattr(packets, attr))
         return np.append(0, np.cumsum(np.bincount(flow, minlength=n))), codes
 
 
 def _split_columns(
     split: _KeyedSplit, starts: np.ndarray, thresholds: AttackThresholds, finer: _FlowColumns | None = None
 ) -> _FlowColumns:
-    """The flows beginning at ``starts`` of a keyed split, one timeout's worth.
-
-    ``finer``, a shorter timeout's columns for the same split and thresholds, lends its cluster order: a gap
-    over the longer timeout is over the shorter too, so each flow here begins where one of ``finer`` did, with
-    its group and first_ts, and indexes follow positions. ``finer.order`` restricted to those flows is ours.
-    """
-    group = order = None
-    if thresholds.min_sensors > 1 and "sensor" in split.key_attrs:
+    """The flows beginning at ``starts`` of a keyed split, one timeout's worth. ``finer``, a shorter timeout's
+    columns for the same split and thresholds, lends what it derived: a gap over the longer timeout is over the
+    shorter too, so finer's flows begin wherever these do. A source is keyed only as a full address."""
+    keyed = [_COLUMN[attr] for attr in split.key_attrs if attr != "src_ip" or split.scheme.use_src_addr]
+    group = None
+    if finer is None and thresholds.min_sensors > 1 and "sensor" in split.key_attrs:
         attrs = [attr for attr in split.key_attrs if attr not in ("sensor", "dst_ip")]
         group = np.ravel_multi_index([split.codes(a, starts) for a in attrs], [len(split.labels(a)) for a in attrs])
-        if finer is not None:
-            flow = np.searchsorted(starts, finer.begins, "right") - 1  # the flow holding each of finer's
-            begun = starts[flow] == finer.begins
-            order = flow[finer.order[begun[finer.order]]]
-    return _FlowColumns(split.sorted, np.diff(starts, append=len(split.sorted)), split.key_attrs, group, order)
+    return _FlowColumns(split.sorted, starts, keyed, group, finer=finer)
 
 
 def _flow_columns(flows: Sequence[Flow], min_sensors: int = 1) -> _FlowColumns:
@@ -303,11 +338,12 @@ def _flow_columns(flows: Sequence[Flow], min_sensors: int = 1) -> _FlowColumns:
     the port condition and whether flows cluster (``min_sensors > 1``); a cluster group is the first-seen key
     without sensor fields, as :func:`_split_columns` groups them."""
     runs = list(map(attrgetter("packets"), flows))
+    sizes = np.fromiter(map(len, runs), np.int64, len(runs))
     keyed = [attr for attr in ("sensor", "dst_port") if None not in map(attrgetter("key." + attr), flows)]
     group, number = None, {}
     if min_sensors > 1 and any(flow.key.sensor is not None for flow in flows[:1]):
         group = np.array([number.setdefault((key.src, key.src_port, key.dst_port), len(number)) for key, _ in flows])
-    return _FlowColumns(Trace.concat(runs), np.fromiter(map(len, runs), np.int64, len(runs)), keyed, group,
+    return _FlowColumns(Trace.concat(runs), np.cumsum(sizes) - sizes, keyed, group,
                         dst_port_keyed=any(flow.key.dst_port is not None for flow in flows[:1]))
 
 
@@ -361,8 +397,11 @@ def _attack_runs(
         cluster = np.cumsum(head) - 1
         attacks = np.ones(len(members), dtype=bool)
         for offsets, code, least in spans:  # each member's own (cluster, code) pairs
-            begins, ends = offsets[members], offsets[members + 1]
-            pairs = np.repeat(cluster, ends - begins), code[_positions(begins, ends)]
+            if len(code) == n:  # a flow holds at least one code, so each holds one
+                pairs = cluster, code[members]
+            else:
+                begins, ends = offsets[members], offsets[members + 1]
+                pairs = np.repeat(cluster, ends - begins), code[_positions(begins, ends)]
             spread = np.bincount(_distinct_pairs(*pairs)[0], minlength=len(members))
             attacks &= spread[cluster] >= least
         runs.append((members[attacks], np.flatnonzero(head[attacks])))
@@ -426,6 +465,7 @@ def _attack_events(
             victims[k], tuple(flows[i] for i in order), firsts[k], lasts[k], totals[k],
             sensors[k], ports[k],
         ))
+    del victims, sensors, ports, totals, firsts, lasts  # the sort keys below are the peak
     events.sort(key=_event_sort_key)
     return events
 

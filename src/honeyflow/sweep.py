@@ -8,10 +8,15 @@ detector's own threshold rule decides every cell of the row from those
 ranges, without building a Flow or an AttackEvent. A cell is therefore the size of what
 :func:`honeyflow.detection.detect_attacks` returns at that cell.
 
-A clustered scheme orders its flows by (group, first_ts) once per sweep,
-at the shortest timeout. Timeouts increase, and a longer one only merges
-flows, so each later timeout narrows the previous order to the flows that
-still begin one; a cell then reads only its own members' sensors and ports.
+Each row is read from statistics derived once per sweep. Timeouts
+increase, and a longer one only merges flows, so each row's flows begin
+where some of the previous row's did. A clustered scheme orders its flows
+by (group, first_ts) once, at the shortest timeout; each later row narrows
+that order and takes each flow's group, first packet and times from the
+previous row by index, and a cell reads only its own members' sensors and
+ports. A sensor or dst port the key does not fix is marked once per sweep,
+each packet with the previous position of its value, so a row counts each
+flow's distinct values with a filter and no sort.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def sweep(
     columns = None
     for i, timeout in enumerate(timeout_grid):
         starts = split.flow_starts(timeout)
-        columns = _split_columns(split, starts, base_thresholds, columns)  # narrows the last timeout's order
+        columns = _split_columns(split, starts, base_thresholds, columns)  # derived from the last timeout's
         cells = [replace(base_thresholds, idle_timeout=timeout, min_packets=load) for load in load_grid]
         victim = split.codes("src_ip", starts)
         for j, (members, heads) in enumerate(_attack_runs(columns, cells)):

@@ -502,6 +502,8 @@ def test_detect_reads_flows_of_several_traces_and_hand_built_ones():
     got = detect(flows, ccc.thresholds)
     assert got == oracle_detect(flows, ccc.thresholds)
     assert len(got) > 2
+    # a copy cut at event 200 ties its original's sort key with fewer packets: tied events keep the flows' order
+    assert detect(flows[::-1], ccc.thresholds) == oracle_detect(flows[::-1], ccc.thresholds)
     # flows of two schemes: the first flow's key decides clustering, each flow's own packets give its sets
     events = sorted((
         PacketEvent(f * 5.0 + k * 0.5, f"s{k % 3}", f"203.0.113.{f + 1}", 50000, f"192.0.2.{k % 3 + 1}", 123 + k % 2)

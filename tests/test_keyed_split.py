@@ -46,10 +46,20 @@ def _trace(n=2000, seed=5):
     return Trace.from_events(make_random_trace(random.Random(seed), n))
 
 
+def _attacked():
+    """A trace dense enough that every preset detects attacks in it, so attack sets get built."""
+    return Trace.from_events(make_random_trace(random.Random(5), 2000, n_sensors=3, n_sources=6, duration=300.0))
+
+
+def test_the_attacked_trace_attacks_under_every_preset():
+    trace = _attacked()
+    assert all(detect_attacks(trace, preset) for preset in PRESETS.values())
+
+
 def test_six_presets_and_two_sweeps_key_four_times(built):
-    trace = _trace()
+    trace = _attacked()
     for preset in PRESETS.values():
-        detect_attacks(trace, preset)
+        assert detect_attacks(trace, preset)
     for name in ("ccc", "hpi"):
         sweep(trace, PRESETS[name].scheme, (60.0, 900.0), (1, 5))
     assemble(trace, PRESETS["newkid-mono"].scheme, 60.0)
@@ -63,7 +73,7 @@ def test_six_presets_and_two_sweeps_key_four_times(built):
 
 
 def test_a_sweep_sorts_its_clusters_once(monkeypatch):
-    trace = _trace()
+    trace = _attacked()
     hpi = PRESETS["hpi"]
     _split_of(trace, hpi.scheme)  # keyed here, so every sort counted below is a cluster sort
     sorts = []
@@ -80,8 +90,30 @@ def test_a_sweep_sorts_its_clusters_once(monkeypatch):
     assert len(sorts) == 1
     sweep(trace, PRESETS["ccc"].scheme, timeouts, (1, 5, 20))
     assert len(sorts) == 1
-    detect_attacks(trace, hpi)
+    assert detect_attacks(trace, hpi)
     assert len(sorts) == 2
+
+
+@pytest.mark.parametrize("name, knobs", [("newkid-multi", {"min_dst_ports": 2}), ("amppot", {"min_sensors": 2})])
+def test_a_sweep_sorts_packets_for_distinct_values_once(monkeypatch, name, knobs):
+    # a dst port or sensor the key does not fix is counted per flow at every timeout
+    # from one mark per packet, derived once per sweep, not from a packet sort per timeout
+    trace = _attacked()
+    scheme = PRESETS[name].scheme
+    _split_of(trace, scheme)
+    sorts = []
+
+    def counting(values, *args, **kwargs):
+        sorts.append(len(values))
+        return sort(values, *args, **kwargs)
+
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", counting)
+    timeouts = (10.0, 30.0, 60.0, 300.0, 900.0, 3600.0)
+    base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, **knobs)
+    grid = sweep(trace, scheme, timeouts, (1, 5, 20), base)
+    assert sorts.count(len(trace)) == 1
+    assert grid.attack_flows.any()
 
 
 def test_ccc_detection_reads_its_sets_off_the_keys(monkeypatch):
@@ -102,6 +134,30 @@ def test_ccc_detection_reads_its_sets_off_the_keys(monkeypatch):
     monkeypatch.undo()
     assert len(attacks) > 2
     assert attacks == detection.detect(assemble(trace, ccc.scheme, 900.0), ccc.thresholds)
+
+
+@pytest.mark.parametrize("name", ["ccc", "amppot", "newkid-mono"])
+def test_classify_sources_reads_address_keyed_sources_off_the_keys(monkeypatch, name):
+    # ccc and amppot key the full source address, so each attack flow holds one source and no
+    # packet is gathered; newkid-mono keys its /24, so it gathers, and both count what the attacks hold
+    trace = _attacked()
+    preset = PRESETS[name]
+    listed = ScannerList(frozenset(trace.addresses[::2]))
+    expected = detect_attacks(trace, preset)
+    gathers = []
+    positions = detection._positions
+
+    def counting(starts, stops):
+        gathers.append(len(starts))
+        return positions(starts, stops)
+
+    monkeypatch.setattr(detection, "_positions", counting)
+    result = classify_sources(listed, trace, preset.scheme, preset.thresholds)
+    monkeypatch.undo()
+    assert (gathers == []) == (name != "newkid-mono")
+    senders = [{p.src_ip for f in attack.flows for p in f.packets} for attack in expected]
+    assert result.attack_events == {s: sum(s in group for group in senders) for s in listed.sources}
+    assert any(result.attack_events.values())
 
 
 def test_selections_start_without_splits(built):
@@ -195,9 +251,9 @@ def test_a_loaded_trace_and_a_selection_take_rows_by_one_rule(data, n, seed):
 
 def test_a_split_goes_with_its_trace():
     # no reference cycle: the last reference going frees the splits without the cyclic collector
-    trace = _trace(500)
+    trace = _attacked()
     for preset in PRESETS.values():
-        detect_attacks(trace, preset)
+        assert detect_attacks(trace, preset)
     splits = [_split_of(trace, preset.scheme) for preset in PRESETS.values()]
     refs = [weakref.ref(array) for split in splits for array in (split.sorted.rows, split.gap)]
     refs += [weakref.ref(split) for split in splits]

@@ -186,6 +186,35 @@ def _increasing(values):
                   + [(t, s, 1, "10.0.1.1", 53) for t in (0, 1, 2) for s in ("s2", "s3")]),
     case="hpi-ports", timeouts=[0.5, 2.0, 1e9], loads=[1, 2],
 )
+# flows tied at 3 packets: a plain cell is a prefix of the flows by packet count, so a tie goes in or out whole
+@example(
+    events=_ticks([(t, s, 0, "10.0.0.1", 53) for t in (0, 1, 2) for s in ("s1", "s2")]
+                  + [(t, "s3", 1, "10.0.1.1", 123) for t in (3, 4, 5)]
+                  + [(t, "s1", 1, "10.0.1.1", 389) for t in (6, 7)]
+                  + [(t, "s2", 1, "10.0.0.1", 53) for t in (8, 9, 10, 11)]),
+    case="ccc", timeouts=[1.0, 1e9], loads=[2, 2.5, 3, 4],
+)
+# the same ties under ">": platform flows of two sensors and two ports, three of 3 packets each at 2 s
+@example(
+    events=_ticks([(0, "s1", 0, "10.0.0.1", 53), (1, "s2", 0, "10.0.0.1", 123), (2, "s1", 0, "10.0.0.1", 53),
+                   (6, "s2", 0, "10.0.0.1", 53), (7, "s3", 0, "10.0.0.1", 389), (8, "s3", 0, "10.0.0.1", 389),
+                   (0, "s3", 1, "10.0.1.1", 123), (1, "s3", 1, "10.0.1.1", 123), (2, "s1", 1, "10.0.1.1", 53)]),
+    case="platform-sensors-ports", timeouts=[2.0, 1e9], loads=[1.5, 2, 3],
+)
+# 10.0.1.1's only flow of 3 packets drops out at load 4, while 10.0.0.1 keeps its flows of 4 and 5
+@example(
+    events=_ticks([(t, "s1", 0, "10.0.0.1", 53) for t in (0, 1, 2, 3)]
+                  + [(t, "s2", 0, "10.0.0.1", 53) for t in range(5)]
+                  + [(t, "s3", 1, "10.0.1.1", 123) for t in (4, 5, 6)] + [(9, "s3", 1, "10.0.1.1", 123)]),
+    case="ccc", timeouts=[2.0, 10.0], loads=[1, 3, 4, 5],
+)
+# port 53 repeats inside one key: within the flow [0, 1], which holds one port, and across the 1 s and 2 s
+# splits, so the flow beginning at 5 s holds it again; it is counted once per flow, merged or not
+@example(
+    events=_ticks([(t, "s1", 0, "10.0.0.1", p) for t, p in ((0, 53), (1, 53), (5, 53), (6, 123), (8, 53))]
+                  + [(0, "s2", 1, "10.0.1.1", 389), (1, "s2", 1, "10.0.1.1", 389), (2, "s2", 1, "10.0.1.1", 53)]),
+    case="newkid-multi", timeouts=[1.0, 2.0, 10.0], loads=[1, 2, 3, 4],
+)
 def test_sweep_equals_per_cell_recomputation(events, case, timeouts, loads):
     scheme, knobs = _SWEEP_CASES[case]
     base = AttackThresholds(name="sweep", idle_timeout=1.0, min_packets=1, **knobs)
