@@ -24,6 +24,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TextIO
 
@@ -227,18 +228,20 @@ class PacketEvent:
     dst_port: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.ts, bool) or not isinstance(self.ts, (int, float)):
-            raise ValueError("ts must be a number")
+        # the one rule of an event, in the order and the words a trace file's line is judged by
         if not _is_finite(self.ts) or self.ts < 0:
-            raise ValueError(f"ts must be finite and non-negative: {self.ts}")
-        if not self.sensor or not isinstance(self.sensor, str):
+            raise ValueError("ts must be a finite non-negative number")
+        if not isinstance(self.sensor, str) or not self.sensor:
             raise ValueError("sensor must be a non-empty string")
         if _SURROGATE.search(self.sensor):
             raise ValueError("sensor is not valid UTF-8")
-        ipv4_to_int(self.src_ip)
-        ipv4_to_int(self.dst_ip)
         _check_port(self.src_port, "src_port")
         _check_port(self.dst_port, "dst_port")
+        for name in ("src_ip", "dst_ip"):
+            try:
+                ipv4_to_int(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 _EVENT_KEYS = ("ts", "sensor", "src_ip", "src_port", "dst_ip", "dst_port")
@@ -293,40 +296,14 @@ def _check_record(record, keys: tuple[str, ...], kind: str, line_no: int) -> Non
             raise FormatError(f"line {line_no}: unexpected key '{key}'")
 
 
-def _check_address(record: dict, name: str, line_no: int) -> str:
-    addr = record[name]
-    try:
-        ipv4_to_int(addr)
-    except ValueError as exc:
-        raise FormatError(f"line {line_no}: {name}: {exc}") from exc
-    return addr
-
-
-def _diagnose_event(record, line_no: int) -> None:
-    """Raise the FormatError naming the first bad field of ``record``, if any."""
-    _check_record(record, _EVENT_KEYS, "event", line_no)
-    ts = record["ts"]
-    if not _is_finite(ts) or ts < 0:
-        raise FormatError(f"line {line_no}: ts must be a finite non-negative number")
-    sensor = record["sensor"]
-    if not isinstance(sensor, str) or not sensor:
-        raise FormatError(f"line {line_no}: sensor must be a non-empty string")
-    if _SURROGATE.search(sensor):
-        raise FormatError(f"line {line_no}: sensor is not valid UTF-8")
-    for name in ("src_port", "dst_port"):
-        value = record[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise FormatError(f"line {line_no}: {name} must be an integer")
-        if not 0 <= value <= 65535:
-            raise FormatError(f"line {line_no}: {name} out of range: {value}")
-    _check_address(record, "src_ip", line_no)
-    _check_address(record, "dst_ip", line_no)
-
-
 def parse_event_line(line: str, line_no: int = 0) -> PacketEvent:
-    """Parse one JSON event line, diagnosing the exact field on failure."""
+    """Parse one JSON event line; a bad one raises the FormatError naming its line and first bad field."""
     record = _load_record(line, line_no, "event")
-    _diagnose_event(record, line_no)
+    _check_record(record, _EVENT_KEYS, "event", line_no)
+    try:
+        PacketEvent(**record)
+    except ValueError as exc:
+        raise FormatError(f"line {line_no}: {exc}") from exc
     return _event(
         float(record["ts"]), record["sensor"], record["src_ip"], record["src_port"], record["dst_ip"],
         record["dst_port"],
@@ -368,19 +345,19 @@ def load_trace(path: str) -> Trace:
     so downstream flow assembly sees a time-ordered stream regardless of
     how the file was produced.
 
-    Lines are decoded in chunks, one ``json.loads`` per chunk, and checked
-    column by column. A chunk fails only on a line that is not UTF-8 or
-    that :func:`parse_event_line` rejects; the file is then read again line
-    by line with that parser only to raise the :class:`FormatError` naming
+    The file is read once, in chunks of lines, one ``json.loads`` per chunk,
+    and checked column by column. A chunk fails only on a line that is not
+    UTF-8 or that :func:`parse_event_line` rejects; only that chunk's lines
+    then go through that parser, to raise the :class:`FormatError` naming
     the first bad line.
     """
-    from .trace import _read_trace  # the trace module builds on this one
+    from .trace import _CHUNK_LINES, _read_trace  # the trace module builds on this one
 
     trace = _read_trace(path)
-    if trace is None:
-        for line_no, line in _nonblank_lines(path):
+    if isinstance(trace, int):
+        for line_no, line in islice(_nonblank_lines(path), trace, trace + _CHUNK_LINES):
             parse_event_line(line, line_no)
-        raise AssertionError(f"{path}: the chunked reader rejected a file the per-line parser accepts")
+        raise AssertionError(f"{path}: the chunked reader rejected a chunk the per-line parser accepts")
     return trace
 
 

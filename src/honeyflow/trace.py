@@ -339,21 +339,22 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return table, rank
 
 
-def _read_trace(path: str) -> Trace | None:
-    """The events of a JSONL trace file in canonical order, or None if the
-    file is not UTF-8 or some line is one that
-    :func:`honeyflow.events.parse_event_line` rejects.
+def _read_trace(path: str) -> Trace | int:
+    """The events of a JSONL trace file in canonical order; or, when a chunk holds a line that is
+    not UTF-8 or that :func:`honeyflow.events.parse_event_line` rejects, the number of non-blank
+    lines in the good chunks before it.
 
-    The file is split into lines and stripped as the per-line parser does
-    it, then read in chunks, one ``json.loads`` each.
+    The file is split into lines and stripped as the per-line parser does it, then read in
+    chunks, one ``json.loads`` each. A byte that is not UTF-8 decodes to a lone surrogate, which
+    fails its chunk wherever it stands: :meth:`_Rows.add` rejects it in a sensor or an address,
+    the key lookup in a key, and ``json.loads`` anywhere else.
     """
     rows = _Rows()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = filter(None, map(str.strip, handle))
-            while chunk := list(islice(lines, _CHUNK_LINES)):
-                if (columns := _decode(chunk)) is None or not rows.add(*columns):
-                    return None
-    except UnicodeDecodeError:  # the per-line parser meets it, or an earlier bad line, first
-        return None
+    good = 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        lines = filter(None, map(str.strip, handle))
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            if (columns := _decode(chunk)) is None or not rows.add(*columns):
+                return good
+            good += len(chunk)
     return rows.sort()[0]

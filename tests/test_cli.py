@@ -529,7 +529,7 @@ def test_bytes_not_utf8_exit_2(tmp_path, corpus_dir, capsys, argv):
                      "line 1 column 10 (char 9)"),
     (b'{"attacks": [{"victim": "198.51.100.9", "dst_port": -1}]}', "attack-1: dst_port out of range: -1"),
     (b'{"scans": [{"source": "198.51.100.9", "start": -1e400}]}',
-     "scan-1: ts must be finite and non-negative: -inf"),
+     "scan-1: ts must be a finite non-negative number"),
     (b'{"baseline_slack_s": 1e400}', "scenario spec: baseline_slack_s must be finite and >= 0: inf"),
 ])
 def test_spec_errors_name_the_file_or_the_part(tmp_path, capsys, data, message):

@@ -7,7 +7,7 @@ import tempfile
 import tracemalloc
 
 import pytest
-from helpers import oracle_load_trace
+from helpers import oracle_load_trace, oracle_parse_event_line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -185,7 +185,7 @@ def test_load_trace_sorts_and_reports_line_numbers(tmp_path):
 
 def test_huge_integer_timestamps_are_format_errors(tmp_path):
     huge = 10**400  # beyond the float range: float(huge) overflows
-    with pytest.raises(ValueError, match="ts must be finite and non-negative"):
+    with pytest.raises(ValueError, match="^ts must be a finite non-negative number$"):
         sample_event(ts=huge)
     line = serialize_event(sample_event()).replace('"ts":100.5', f'"ts":{huge}')
     with pytest.raises(FormatError, match="^line 4: ts must be a finite non-negative number$"):
@@ -285,11 +285,16 @@ def test_first_bad_line_wins_over_a_bad_byte(tmp_path):
 
 
 def test_load_trace_fallback_only_diagnoses(tmp_path, monkeypatch):
+    # a chunk the chunked reader rejects but every line of which parses is a fault of the reader
     path = tmp_path / "events.jsonl"
-    write_trace([sample_event()], str(path))
-    monkeypatch.setattr(trace_module, "_read_trace", lambda path: None)
-    with pytest.raises(AssertionError, match="events.jsonl: the chunked reader rejected"):
+    write_trace([sample_event(ts=float(t)) for t in range(12)], str(path))
+    parsed = []
+    monkeypatch.setattr(trace_module, "_CHUNK_LINES", 4)
+    monkeypatch.setattr(trace_module, "_read_trace", lambda path: 4)  # the second chunk failed
+    monkeypatch.setattr(events_module, "parse_event_line", lambda line, line_no: parsed.append(line_no))
+    with pytest.raises(AssertionError, match="events.jsonl: the chunked reader rejected a chunk"):
         load_trace(str(path))
+    assert parsed == [5, 6, 7, 8]
 
 
 def test_load_trace_checks_once_and_shares_strings(tmp_path, monkeypatch):
@@ -612,6 +617,38 @@ def test_each_bad_field_fails_like_the_oracle(tmp_path, key, value):
     assert _outcome(load_trace, str(path)) == expected
 
 
+def test_a_bad_line_is_named_from_its_own_chunk(tmp_path, monkeypatch):
+    # only the failing chunk goes through the per-line parser, not the file from line 1
+    path = tmp_path / "events.jsonl"
+    lines = [serialize_event(sample_event(ts=float(t))) for t in range(13)]
+    lines[-1] = lines[-1].replace('"dst_port":123', '"dst_port":65536')
+    path.write_text("\n\n".join(lines) + "\n")  # blank lines between: line numbers and chunk lines differ
+    expected = _outcome(oracle_load_trace, str(path))
+    assert expected == "FormatError: line 25: dst_port out of range: 65536"
+    parsed = []
+
+    def counting_parser(line, line_no):
+        parsed.append(line_no)
+        return parse_event_line(line, line_no)
+
+    monkeypatch.setattr(trace_module, "_CHUNK_LINES", 4)
+    monkeypatch.setattr(events_module, "parse_event_line", counting_parser)
+    assert _outcome(load_trace, str(path)) == expected
+    assert parsed == [25]  # the fourth chunk holds only line 25
+
+
+@pytest.mark.parametrize("key,value", [(key, value) for key in _BAD for value in _BAD[key]]
+                         + [("sensor", "\ud800"), ("sensor", "s\udfff1")])
+def test_packet_event_is_the_rule_a_line_is_judged_by(key, value):
+    fields = {"ts": 1.0, "sensor": "s1", "src_ip": "10.0.0.1", "src_port": 53, "dst_ip": "10.0.0.2", "dst_port": 123}
+    fields[key] = value
+    with pytest.raises(FormatError) as parsed:
+        parse_event_line(json.dumps(fields), 7)
+    with pytest.raises(ValueError) as built:
+        PacketEvent(**fields)
+    assert f"line 7: {built.value}" == str(parsed.value)
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     lines=st.lists(_lines, max_size=30),
@@ -719,6 +756,36 @@ def test_bad_line_past_the_first_chunk_fails_like_the_oracle(bad_at):
     engine, oracle = _loaded_like_oracle("\n".join(lines), 4)
     assert engine == oracle
     assert oracle.startswith(f"FormatError: line {bad_at}: src_port out of range")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    records=st.lists(_records, min_size=1, max_size=24),
+    chunk_lines=st.sampled_from([1, 2, 3, 4]),
+    data=st.data(),
+)
+def test_a_byte_not_utf8_is_named_like_a_bad_line(records, chunk_lines, data):
+    # one byte no UTF-8 text holds there, anywhere in a multi-chunk file; an earlier bad line wins over it
+    lines = [json.dumps(record, ensure_ascii=False).encode() for record in records]
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    offset = data.draw(st.integers(0, len(lines[at])), label="offset")
+    byte = bytes([data.draw(st.integers(0x80, 0xFF), label="byte")])
+    lines[at] = lines[at][:offset] + byte + lines[at][offset:]
+    expected = f"FormatError: line {at + 1}: not valid UTF-8"
+    if data.draw(st.booleans(), label="bad line before"):
+        before = data.draw(st.integers(0, at), label="before")
+        bad = data.draw(_bad_lines(), label="bad")
+        lines.insert(before, bad.encode())
+        with pytest.raises(FormatError) as info:
+            oracle_parse_event_line(bad, before + 1)
+        expected = f"FormatError: {info.value}"
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "events.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines) + b"\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_module, "_CHUNK_LINES", chunk_lines)
+            assert _outcome(load_trace, path) == expected
 
 
 def test_load_trace_memory_per_event_is_bounded(tmp_path):

@@ -227,7 +227,7 @@ def test_planted_rows_are_checked_once_as_columns(monkeypatch):
         (dict(attacks=(AttackSpec(victim="203.0.113.1", src_port=True),)), "attack-1: src_port must be an integer"),
         (dict(scans=(ScanSpec(source="203.0.113.200", ports=(53, 70000)),)), "scan-1: dst_port out of range: 70000"),
         (dict(scans=(ScanSpec(source="203.0.113.200", start=float("-inf")),)),
-         "scan-1: ts must be finite and non-negative: -inf"),
+         "scan-1: ts must be a finite non-negative number"),
         # the bad row lies in the third 1 024-row chunk, after 2 400 good ones
         (dict(noise_packets=100, attacks=(AttackSpec(victim="203.0.113.1", stop=300.0),),
               carpets=(CarpetSpec(dst_port=65536, start=400.0),)), "carpet-1: dst_port out of range: 65536"),
